@@ -93,10 +93,13 @@ const VERSION: u32 = 1;
 /// Frame header: length prefix + body CRC.
 pub const FRAME_HEADER: usize = 8;
 
-const CRC_TABLE: [u32; 256] = crc_table();
+/// Slicing-by-8 tables: `CRC_TABLES[0]` is the classic byte-at-a-time
+/// table, and `CRC_TABLES[k][b]` is the register update for byte `b`
+/// followed by `k` zero bytes, so eight lookups fold one 8-byte word.
+static CRC_TABLES: [[u32; 256]; 8] = crc_tables();
 
-const fn crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -109,17 +112,40 @@ const fn crc_table() -> [u32; 256] {
             };
             k += 1;
         }
-        table[i] = c;
+        t[0][i] = c;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[k - 1][i];
+            t[k][i] = t[0][(prev & 0xFF) as usize] ^ (prev >> 8);
+            i += 1;
+        }
+        k += 1;
+    }
+    t
 }
 
-/// IEEE 802.3 CRC-32 of `data`.
+/// IEEE 802.3 CRC-32 of `data` (slicing-by-8, byte-wise tail).
 pub fn crc32(data: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut c = !0u32;
-    for &b in data {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    let mut words = data.chunks_exact(8);
+    for w in &mut words {
+        let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][w[4] as usize]
+            ^ t[2][w[5] as usize]
+            ^ t[1][w[6] as usize]
+            ^ t[0][w[7] as usize];
+    }
+    for &b in words.remainder() {
+        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     !c
 }
@@ -618,6 +644,36 @@ mod tests {
         // the IEEE check value every crc32 implementation agrees on
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    /// The textbook CRC-32, one byte and one bit at a time, with no
+    /// table: the reference the sliced one must reproduce.
+    fn crc32_bytewise(data: &[u8]) -> u32 {
+        let mut c = !0u32;
+        for &b in data {
+            c ^= b as u32;
+            for _ in 0..8 {
+                c = if c & 1 != 0 {
+                    0xEDB8_8320 ^ (c >> 1)
+                } else {
+                    c >> 1
+                };
+            }
+        }
+        !c
+    }
+
+    #[test]
+    fn crc32_matches_bytewise_reference_at_every_length_and_offset() {
+        let buf: Vec<u8> = (0..320u32)
+            .map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8)
+            .collect();
+        for off in 0..8 {
+            for len in 0..=300 {
+                let data = &buf[off..off + len];
+                assert_eq!(crc32(data), crc32_bytewise(data), "len {len} off {off}");
+            }
+        }
     }
 
     #[test]

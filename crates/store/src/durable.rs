@@ -13,6 +13,14 @@
 //! exceeds every pre-cut one, so the replayed fold equals the live
 //! fold even though compactions are not replayed).
 //!
+//! Because nothing before the seal needs to be on disk, appends are
+//! group-committed: records are framed into a fixed [`STAGE`]-byte
+//! buffer, each full chunk is written the moment it fills (a frame may
+//! straddle two chunks), and the seal writes the partial chunk left
+//! over before its `fdatasync`. A seal interval of `b` bytes thus costs
+//! `ceil(b / STAGE)` writes — a pure function of `(config, seed)` —
+//! and a worker's staging memory is bounded by [`STAGE`].
+//!
 //! Every record is framed exactly like a socket frame
 //! ([`cbm_net::tcp`]): `[len u32 LE][crc32 u32 LE][body]`, with bodies
 //! in the canonical fixed-width little-endian [`Wire`]/
@@ -24,14 +32,14 @@
 //! it is atomic — and truncates the log prefix it replaces.
 //!
 //! [`recover`] is strict about what it trusts: a torn or corrupt tail
-//! *past* the last seal is the expected shape of a crash mid-write and
-//! is silently discarded; anything wrong at or before the last seal —
-//! an unreadable snapshot, a record that fails its CRC or decode, a
-//! replayed state that disagrees with the seal's recorded hash —
-//! surfaces as a typed [`LogError`] and installs nothing. Callers walk
-//! the recovery ladder: replay from disk, fetch the op delta past the
-//! replayed cut from co-replicas, or fall back to the full state
-//! transfer.
+//! *past* the last seal is the expected shape of a crash mid-write
+//! (a chunk that ends mid-frame is one) and is silently discarded;
+//! anything wrong at or before the last seal — an unreadable snapshot,
+//! a record that fails its CRC or decode, a replayed state that
+//! disagrees with the seal's recorded hash — surfaces as a typed
+//! [`LogError`] and installs nothing. Callers walk the recovery ladder:
+//! replay from disk, fetch the op delta past the replayed cut from
+//! co-replicas, or fall back to the full state transfer.
 
 use crate::codec::{get_payload_vec, put_payload_vec, PayloadCodec};
 use crate::config::Mode;
@@ -54,6 +62,11 @@ pub const FRAME_HEADER: usize = 8;
 /// Hard cap on one record body (matches [`cbm_net::tcp::MAX_FRAME`]);
 /// a length field above this is corruption, not a record.
 pub const MAX_RECORD: usize = 64 << 20;
+
+/// Size of one staged chunk: appends collect in a buffer of exactly
+/// this many bytes and reach the file one full chunk per write, plus
+/// one write of the remainder at each seal.
+pub const STAGE: usize = 64 << 10;
 
 /// Record tag: one own update applied at invocation.
 pub const TAG_OWN: u8 = 0;
@@ -192,24 +205,61 @@ fn snap_path(dir: &Path, me: usize) -> PathBuf {
     dir.join(format!("worker-{me}.snap"))
 }
 
-fn frame_into(body: &[u8], out: &mut Vec<u8>) {
-    out.extend_from_slice(&(body.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(body).to_le_bytes());
-    out.extend_from_slice(body);
+/// The `[len][crc32]` header that frames `body`.
+fn frame_header(body: &[u8]) -> [u8; FRAME_HEADER] {
+    let mut header = [0u8; FRAME_HEADER];
+    header[..4].copy_from_slice(&(body.len() as u32).to_le_bytes());
+    header[4..].copy_from_slice(&crc32(body).to_le_bytes());
+    header
 }
 
-/// One worker's append-side handle: the open log file plus the paths
-/// and scratch buffers the record writers reuse.
-pub struct EpochLog {
+/// The log file behind a fixed [`STAGE`]-byte buffer. Bytes are
+/// copied in until the buffer is full, which writes it as one chunk;
+/// [`Staged::flush`] writes the partial chunk left over.
+struct Staged {
     file: File,
+    buf: Vec<u8>,
+}
+
+impl Staged {
+    fn push(&mut self, mut bytes: &[u8]) -> std::io::Result<()> {
+        while !bytes.is_empty() {
+            let take = bytes.len().min(STAGE - self.buf.len());
+            self.buf.extend_from_slice(&bytes[..take]);
+            bytes = &bytes[take..];
+            if self.buf.len() == STAGE {
+                self.flush()?;
+            }
+        }
+        Ok(())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        self.file.write_all(&self.buf)?;
+        self.buf.clear();
+        Ok(())
+    }
+}
+
+/// One worker's append-side handle: the log file behind its staging
+/// chunk, plus the paths and scratch buffers the record writers reuse.
+///
+/// Records are group-committed: [`EpochLog::log_own`] and
+/// [`EpochLog::log_batch`] only frame into the [`STAGE`]-byte chunk
+/// (writing it when it fills), and [`EpochLog::seal`] writes what is
+/// left before its `fdatasync`. Records staged past the last seal are
+/// lost when the handle drops — exactly the torn tail a crash leaves,
+/// which [`recover`] discards anyway.
+pub struct EpochLog {
+    out: Staged,
     dir: PathBuf,
     log_path: PathBuf,
     snap_path: PathBuf,
     body: Vec<u8>,
-    frame: Vec<u8>,
     /// Boundary seals since the last snapshot (snapshot cadence).
     boundary_seals: u64,
-    /// Bytes appended to the log since open or last truncation.
+    /// Bytes appended to the log (staged or written) since open or last
+    /// truncation.
     pub appended: u64,
 }
 
@@ -234,24 +284,24 @@ impl EpochLog {
                 .open(&log_path)?
         };
         Ok(EpochLog {
-            file,
+            out: Staged {
+                file,
+                buf: Vec::with_capacity(STAGE),
+            },
             dir: dir.to_path_buf(),
             log_path,
             snap_path,
             body: Vec::new(),
-            frame: Vec::new(),
             boundary_seals: 0,
             appended: 0,
         })
     }
 
+    /// Stage the record in `body` as one frame.
     fn append_frame(&mut self) -> std::io::Result<()> {
-        self.frame.clear();
-        let body = std::mem::take(&mut self.body);
-        frame_into(&body, &mut self.frame);
-        self.body = body;
-        self.file.write_all(&self.frame)?;
-        self.appended += self.frame.len() as u64;
+        self.out.push(&frame_header(&self.body))?;
+        self.out.push(&self.body)?;
+        self.appended += (FRAME_HEADER + self.body.len()) as u64;
         Ok(())
     }
 
@@ -288,15 +338,17 @@ impl EpochLog {
         self.append_frame()
     }
 
-    /// Seal a drain cut and make everything up to it durable
-    /// (`fdatasync`). Returns whether the snapshot cadence says this
-    /// boundary should compact next.
+    /// Seal a drain cut and make everything up to it durable: stage the
+    /// seal record, write the partial chunk, `fdatasync`. Returns
+    /// whether the snapshot cadence says this boundary should compact
+    /// next.
     pub fn seal(&mut self, seal: &SealInfo, snapshot_every: u64) -> std::io::Result<bool> {
         self.body.clear();
         self.body.push(TAG_SEAL);
         seal.put(&mut self.body);
         self.append_frame()?;
-        self.file.sync_data()?;
+        self.out.flush()?;
+        self.out.file.sync_data()?;
         if seal.boundary {
             self.boundary_seals += 1;
             return Ok(snapshot_every != 0 && self.boundary_seals >= snapshot_every);
@@ -308,22 +360,32 @@ impl EpochLog {
     /// truncate the log prefix it replaces. The snapshot goes to a
     /// temp file first and is renamed into place, so a crash leaves
     /// either the old snapshot or the new one — never a torn mix.
+    ///
+    /// Must run on an empty stage — right after [`EpochLog::seal`],
+    /// [`EpochLog::open`], or another snapshot: records staged before
+    /// the truncation would otherwise land in the fresh log and replay
+    /// on top of the new snapshot.
     pub fn snapshot<S: PayloadCodec>(
         &mut self,
         seal: &SealInfo,
         states: &[S],
     ) -> std::io::Result<()> {
+        debug_assert!(
+            self.out.buf.is_empty(),
+            "snapshot with staged records past the last seal"
+        );
+        // encode the body behind room for its header, so the whole
+        // frame goes out in one write
         self.body.clear();
+        self.body.resize(FRAME_HEADER, 0);
         seal.put(&mut self.body);
         put_payload_vec(states, &mut self.body);
-        self.frame.clear();
-        let body = std::mem::take(&mut self.body);
-        frame_into(&body, &mut self.frame);
-        self.body = body;
+        let header = frame_header(&self.body[FRAME_HEADER..]);
+        self.body[..FRAME_HEADER].copy_from_slice(&header);
         let tmp = self.snap_path.with_extension("snap.tmp");
         {
             let mut f = File::create(&tmp)?;
-            f.write_all(&self.frame)?;
+            f.write_all(&self.body)?;
             f.sync_data()?;
         }
         fs::rename(&tmp, &self.snap_path)?;
@@ -331,9 +393,9 @@ impl EpochLog {
         // sync it so the snapshot's existence is as durable as its
         // bytes
         File::open(&self.dir)?.sync_all()?;
-        self.file.set_len(0)?;
-        self.file.seek(SeekFrom::Start(0))?;
-        self.file.sync_data()?;
+        self.out.file.set_len(0)?;
+        self.out.file.seek(SeekFrom::Start(0))?;
+        self.out.file.sync_data()?;
         self.appended = 0;
         self.boundary_seals = 0;
         Ok(())
@@ -635,5 +697,229 @@ mod tests {
             Err(LogError::CorruptSnapshot)
         ));
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// The own-update frame `log_own` stages, built by hand: what a
+    /// per-record write would have put on disk.
+    fn own_frame(obj: u32, t: Timestamp, input: &RegInput) -> Vec<u8> {
+        let mut body = vec![TAG_OWN];
+        obj.put(&mut body);
+        t.put(&mut body);
+        input.enc(&mut body);
+        let mut frame = (body.len() as u32).to_le_bytes().to_vec();
+        frame.extend_from_slice(&crc32(&body).to_le_bytes());
+        frame.extend_from_slice(&body);
+        frame
+    }
+
+    #[test]
+    fn unsealed_records_are_staged_and_a_crash_lands_on_the_seal() {
+        let dir = tmpdir("unsealed");
+        let adt = Register;
+        let mut live = ObjectTable::new(&adt, 4, Mode::Convergent);
+        let mut log = EpochLog::open(&dir, 0, true).unwrap();
+        for i in 0..5u64 {
+            let input = RegInput::Write(i);
+            live.apply_update(&adt, i as u32 % 4, ts(i + 1, 0), &input);
+            log.log_own(i as u32 % 4, ts(i + 1, 0), &input).unwrap();
+        }
+        live.compact();
+        let s1 = seal_of(&live, 1, 5);
+        log.seal(&s1, 0).unwrap();
+        let committed = fs::read(log.path()).unwrap();
+        assert_eq!(committed.len() as u64, log.appended);
+
+        // appended past the seal, then a crash (drop without a seal):
+        // under one chunk, so nothing reaches the file
+        let mut tail = Vec::new();
+        for i in 0..3u64 {
+            let input = RegInput::Write(100 + i);
+            log.log_own(i as u32, ts(10 + i, 0), &input).unwrap();
+            tail.extend(own_frame(i as u32, ts(10 + i, 0), &input));
+        }
+        drop(log);
+        assert_eq!(fs::read(log_path(&dir, 0)).unwrap(), committed);
+        let staged = recover::<Register>(&adt, &dir, 0, 4, Mode::Convergent).unwrap();
+        assert_eq!(staged.seal, s1);
+        assert_eq!(staged.replayed_records, 6); // 5 own + seal
+        assert_eq!(staged.log_bytes, committed.len() as u64);
+
+        // the file per-record writes would have left replays the same
+        let mut per_record = committed.clone();
+        per_record.extend(&tail);
+        fs::write(log_path(&dir, 0), &per_record).unwrap();
+        let written = recover::<Register>(&adt, &dir, 0, 4, Mode::Convergent).unwrap();
+        assert_eq!(written.seal, staged.seal);
+        assert_eq!(written.replayed_records, staged.replayed_records);
+        assert_eq!(written.log_bytes, staged.log_bytes);
+        assert_eq!(written.states, staged.states);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn crash_past_a_full_chunk_leaves_a_torn_tail_at_the_chunk_boundary() {
+        let dir = tmpdir("chunk");
+        let adt = Register;
+        let mut live = ObjectTable::new(&adt, 4, Mode::Convergent);
+        let mut log = EpochLog::open(&dir, 0, true).unwrap();
+        live.apply_update(&adt, 0, ts(1, 0), &RegInput::Write(1));
+        log.log_own(0, ts(1, 0), &RegInput::Write(1)).unwrap();
+        live.compact();
+        let s1 = seal_of(&live, 1, 1);
+        log.seal(&s1, 0).unwrap();
+        let committed = fs::metadata(log.path()).unwrap().len();
+
+        // stage a little over one chunk past the seal, then crash
+        let frame = own_frame(0, ts(2, 0), &RegInput::Write(0)).len();
+        let mut i = 0u64;
+        while log.appended - committed <= STAGE as u64 {
+            log.log_own((i % 4) as u32, ts(2 + i, 0), &RegInput::Write(i))
+                .unwrap();
+            i += 1;
+        }
+        drop(log);
+        let bytes = fs::read(log_path(&dir, 0)).unwrap();
+        assert_eq!(
+            bytes.len() as u64,
+            committed + STAGE as u64,
+            "one full chunk"
+        );
+        assert_ne!(STAGE % frame, 0, "the chunk must end mid-frame");
+        let tail = scan_frames(&bytes[committed as usize..]);
+        let clean = tail.last().map_or(0, |(_, body)| body.end);
+        assert!(
+            clean < STAGE,
+            "the last frame is torn at the chunk boundary"
+        );
+
+        let rec = recover::<Register>(&adt, &dir, 0, 4, Mode::Convergent).unwrap();
+        assert_eq!(rec.seal, s1);
+        assert_eq!(rec.replayed_records, 2);
+        assert_eq!(rec.log_bytes, committed);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn seals_and_compactions_replay_to_the_live_state() {
+        let dir = tmpdir("compactions");
+        let adt = Register;
+        let mut live = ObjectTable::new(&adt, 8, Mode::Convergent);
+        let mut log = EpochLog::open(&dir, 1, true).unwrap();
+        let mut t = 0u64;
+        let mut snapshots = 0;
+        let mut last = None;
+        for epoch in 1..=7u64 {
+            // enough records per epoch that some intervals span chunks
+            for k in 0..epoch * 1_500 {
+                t += 1;
+                let obj = (k * 7 % 8) as u32;
+                let input = RegInput::Write(t * 31 % 1_000);
+                live.apply_update(&adt, obj, ts(t, 1), &input);
+                if k % 3 == 0 {
+                    log.log_own(obj, ts(t, 1), &input).unwrap();
+                } else {
+                    let op = WireOp {
+                        obj,
+                        input,
+                        ts: ts(t, 1),
+                        wseq: None,
+                    };
+                    log.log_batch(0, k, &[op]).unwrap();
+                }
+            }
+            live.compact();
+            let seal = seal_of(&live, epoch, t);
+            if log.seal(&seal, 2).unwrap() {
+                log.snapshot(&seal, &live.snapshot()).unwrap();
+                snapshots += 1;
+            }
+            last = Some(seal);
+        }
+        drop(log);
+        assert_eq!(snapshots, 3);
+        let rec = recover::<Register>(&adt, &dir, 1, 8, Mode::Convergent).unwrap();
+        assert_eq!(Some(rec.seal.clone()), last);
+        assert_eq!(rec.states, live.snapshot());
+        let mut replayed = ObjectTable::new(&adt, 8, Mode::Convergent);
+        replayed.install(&rec.states);
+        assert_eq!(replayed.state_hash(), live.state_hash());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn resume_snapshot_runs_on_the_empty_stage_of_a_reopened_log() {
+        let dir = tmpdir("resume");
+        let adt = Counter;
+        let mut live = ObjectTable::new(&adt, 2, Mode::Causal);
+        let mut log = EpochLog::open(&dir, 0, true).unwrap();
+        live.apply_update(&adt, 0, ts(1, 0), &CtInput::Add(3));
+        log.log_own(0, ts(1, 0), &CtInput::Add(3)).unwrap();
+        let s1 = seal_of(&live, 1, 1);
+        log.seal(&s1, 0).unwrap();
+        drop(log);
+
+        // cold restart: reopen without truncating, replay, compact the
+        // resumed cut — no seal in between
+        let mut log = EpochLog::open(&dir, 0, false).unwrap();
+        let rec = recover::<Counter>(&adt, &dir, 0, 2, Mode::Causal).unwrap();
+        assert_eq!(rec.seal, s1);
+        log.snapshot(&rec.seal, &rec.states).unwrap();
+        assert_eq!(fs::metadata(log.path()).unwrap().len(), 0);
+
+        live.apply_update(&adt, 1, ts(2, 0), &CtInput::Add(-1));
+        log.log_own(1, ts(2, 0), &CtInput::Add(-1)).unwrap();
+        let s2 = seal_of(&live, 2, 2);
+        log.seal(&s2, 0).unwrap();
+        let rec = recover::<Counter>(&adt, &dir, 0, 2, Mode::Causal).unwrap();
+        assert_eq!(rec.seal, s2);
+        assert_eq!(rec.replayed_records, 3); // snapshot + own + seal
+        assert_eq!(rec.states, vec![3, -1]);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn recovery_epilogue_snapshot_runs_on_the_stage_the_crash_seal_emptied() {
+        let dir = tmpdir("epilogue");
+        let adt = Counter;
+        let mut live = ObjectTable::new(&adt, 2, Mode::Causal);
+        let mut log = EpochLog::open(&dir, 2, true).unwrap();
+        live.apply_update(&adt, 0, ts(1, 2), &CtInput::Add(5));
+        log.log_own(0, ts(1, 2), &CtInput::Add(5)).unwrap();
+        let crash = seal_of(&live, 1, 1);
+        log.seal(&crash, 0).unwrap();
+
+        // the outage: the handle stays open and appends nothing; the
+        // worker replays its own disk, catches up from co-replicas, and
+        // compacts the recovered cut without sealing first
+        let rec = recover::<Counter>(&adt, &dir, 2, 2, Mode::Causal).unwrap();
+        assert_eq!(rec.seal, crash);
+        let mut table = ObjectTable::new(&adt, 2, Mode::Causal);
+        table.install(&rec.states);
+        table.apply_update(&adt, 1, ts(4, 0), &CtInput::Add(7));
+        let recovered = seal_of(&table, 3, 1);
+        log.snapshot(&recovered, &table.snapshot()).unwrap();
+
+        table.apply_update(&adt, 0, ts(5, 2), &CtInput::Add(1));
+        log.log_own(0, ts(5, 2), &CtInput::Add(1)).unwrap();
+        let s4 = seal_of(&table, 4, 2);
+        log.seal(&s4, 0).unwrap();
+        let rec = recover::<Counter>(&adt, &dir, 2, 2, Mode::Causal).unwrap();
+        assert_eq!(rec.seal, s4);
+        assert_eq!(rec.states, vec![6, 7]);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "staged records past the last seal")]
+    fn snapshot_over_staged_records_is_caught() {
+        let dir = tmpdir("staged-snapshot");
+        let adt = Counter;
+        let live = ObjectTable::new(&adt, 2, Mode::Causal);
+        let mut log = EpochLog::open(&dir, 0, true).unwrap();
+        log.log_own(0, ts(1, 0), &CtInput::Add(1)).unwrap();
+        // the assertion fires before any file is touched
+        let _ = fs::remove_dir_all(&dir);
+        let _ = log.snapshot(&seal_of(&live, 1, 1), &live.snapshot());
     }
 }
