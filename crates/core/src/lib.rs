@@ -67,6 +67,7 @@ pub mod cluster;
 pub mod consensus;
 pub mod convergent;
 pub mod ec;
+pub mod msg;
 pub mod pram;
 pub mod replica;
 pub mod seq;

@@ -11,19 +11,19 @@
 //! 2. **cost** — Fig. 5 stores only `k` timestamped values per stream,
 //!    not an operation log: O(k) memory and O(k) work per delivery,
 //!    which the benches compare against the generalized log replica;
-//! 3. **wire realism** — messages use the byte codec of
-//!    `cbm-net::msg`, so reported message sizes are exact.
+//! 3. **wire realism** — message sizes are the exact byte counts of
+//!    the paper's messages (see [`crate::msg`]), not guesses.
 //!
 //! Equivalence with the generalized replicas (same outputs under the
 //! same delivery schedule) is asserted in the tests below and in the
 //! integration suite.
 
+use crate::msg::{cc_msg_size, ccv_msg_size};
 use crate::replica::{InvokeOutcome, Outgoing, Replica};
 use cbm_adt::window::{WaInput, WaOutput, WindowArray};
 use cbm_adt::Value;
 use cbm_net::broadcast::{CausalBroadcast, CausalMsg};
 use cbm_net::clock::{LamportClock, Timestamp};
-use cbm_net::msg::{CcWire, CcvWire};
 use cbm_net::NodeId;
 
 /// Fig. 4: causally consistent array of `K` window streams of size `k`.
@@ -121,13 +121,7 @@ impl Replica<WindowArray> for WkArrayCc {
     }
 
     fn msg_size(&self, msg: &Self::Msg) -> usize {
-        CcWire {
-            sender: msg.sender,
-            vc: msg.vc.clone(),
-            x: msg.payload.1,
-            v: msg.payload.2,
-        }
-        .wire_size()
+        cc_msg_size(msg.vc.len())
     }
 
     fn flavour() -> &'static str {
@@ -294,14 +288,7 @@ impl Replica<WindowArray> for WkArrayCcv {
     }
 
     fn msg_size(&self, msg: &Self::Msg) -> usize {
-        CcvWire {
-            sender: msg.sender,
-            vc: msg.vc.clone(),
-            x: msg.payload.1,
-            v: msg.payload.2,
-            ts: msg.payload.3,
-        }
-        .wire_size()
+        ccv_msg_size(msg.vc.len())
     }
 
     fn flavour() -> &'static str {

@@ -15,21 +15,19 @@
 //!    delivered before the received message.
 //!
 //! Alongside the causal broadcast we provide the weaker and stronger
-//! layers the baselines in `cbm-core` need: FIFO broadcast (PRAM),
-//! unordered reliable broadcast (eventual consistency without
-//! causality), and a sequencer-based total-order broadcast (sequential
-//! consistency — *not* wait-free; its latency is the motivation metric
-//! of §1).
+//! layers the baselines in `cbm-core` need: FIFO broadcast (PRAM) and
+//! a sequencer-based total-order broadcast (sequential consistency —
+//! *not* wait-free; its latency is the motivation metric of §1).
 //!
-//! Two transports run the protocols:
+//! Three transports run the protocols:
 //!
 //! * [`sim::SimNet`] — a deterministic, seeded discrete-event simulator
 //!   with pluggable latency models and crash injection; every test and
 //!   figure harness runs on it so executions are replayable;
-//! * [`thread_net::ThreadNet`] — real threads over crossbeam channels
-//!   with lock-free message/byte accounting and graceful drain, used
-//!   by the live store engine (`cbm-store`) and the Criterion benches
-//!   for wall-clock numbers;
+//! * [`thread_net::ThreadNet`] — real threads over `std::sync::mpsc`
+//!   channels with lock-free message/byte accounting and graceful
+//!   drain, used by the live store engine (`cbm-store`) and the
+//!   Criterion benches for wall-clock numbers;
 //! * [`tcp::TcpNet`] — real sockets: a CRC-framed, length-prefixed TCP
 //!   mesh over loopback with the same accounting and drain semantics,
 //!   behind the shared [`endpoint::Endpoint`] trait (messages encode
@@ -37,9 +35,12 @@
 //!   unchanged over actual connections.
 //!
 //! For high-throughput callers the causal layer also has a **batched
-//! mode**, [`broadcast::BatchCausalBroadcast`]: payloads coalesce into
-//! one vector-clock-stamped envelope per flush, cutting message counts
-//! by the mean batch size while preserving causal order.
+//! multicast**, [`broadcast::InterestBatchCausalBroadcast`]: payloads
+//! that share an interest mask coalesce into one envelope per flush,
+//! stamped with a per-edge sequence number and a delta-encoded
+//! knowledge header, cutting message counts by the mean batch size
+//! while preserving causal order. A full mask is full replication; the
+//! store engine keys masks by shard (`docs/SHARDING.md`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -52,7 +53,6 @@ pub mod endpoint;
 pub mod fault;
 pub mod latency;
 pub mod mask;
-pub mod msg;
 pub mod sim;
 pub mod tcp;
 pub mod thread_net;

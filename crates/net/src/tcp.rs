@@ -69,10 +69,10 @@
 use crate::thread_net::ThreadNetStats;
 use crate::wire::{from_bytes, Wire};
 use crate::NodeId;
-use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 
 /// Body tag of a data frame (tag byte + `Wire`-encoded message).
@@ -454,8 +454,8 @@ impl<M: Wire + Send + 'static> TcpNet<M> {
             .into_iter()
             .enumerate()
             .map(|(me, row)| {
-                let (in_tx, in_rx) = unbounded::<(NodeId, M)>();
-                let (out_tx, out_rx) = unbounded::<(NodeId, Vec<u8>)>();
+                let (in_tx, in_rx) = channel::<(NodeId, M)>();
+                let (out_tx, out_rx) = channel::<(NodeId, Vec<u8>)>();
                 let markers: Arc<Vec<AtomicU64>> =
                     Arc::new((0..n).map(|_| AtomicU64::new(0)).collect());
                 let shared: Vec<Option<Arc<TcpStream>>> =
@@ -590,10 +590,7 @@ impl<M: Wire + Clone + Send + 'static> crate::endpoint::Endpoint<M> for TcpEndpo
     }
 
     fn try_recv(&self) -> Option<(NodeId, M)> {
-        match self.in_rx.try_recv() {
-            Ok(v) => Some(v),
-            Err(TryRecvError::Empty) | Err(TryRecvError::Disconnected) => None,
-        }
+        self.in_rx.try_recv().ok()
     }
 
     fn send_marker(&self) {

@@ -1,4 +1,4 @@
-//! Real-thread transport over crossbeam channels.
+//! Real-thread transport over `std::sync::mpsc` channels.
 //!
 //! Used by the live store engine (`cbm-store`) and the Criterion
 //! benches to measure wall-clock behaviour of the protocols under true
@@ -12,8 +12,8 @@
 //! needless serialization point.
 
 use crate::NodeId;
-use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 
 /// Shared transport statistics, updated lock-free from every endpoint.
@@ -122,7 +122,7 @@ impl<M: Send> ThreadNet<M> {
         let mut senders = Vec::with_capacity(n);
         let mut receivers = Vec::with_capacity(n);
         for _ in 0..n {
-            let (tx, rx) = unbounded();
+            let (tx, rx) = channel();
             senders.push(tx);
             receivers.push(Some(rx));
         }
@@ -172,7 +172,7 @@ impl<M: Clone + Send> Endpoint<M> {
     ///
     /// The transport moves typed values in memory, so the byte count is
     /// declared by the caller (the protocol layer knows its wire
-    /// encoding; see `cbm_net::msg` for exact codecs).
+    /// encoding; see [`crate::wire::Wire`] for the encoded size).
     pub fn send_sized(&self, to: NodeId, msg: M, bytes: usize) {
         // a disconnected peer (dropped endpoint) models a crash: sends
         // to it are silently lost, like the simulator's drops
@@ -210,10 +210,7 @@ impl<M: Clone + Send> Endpoint<M> {
 
     /// Non-blocking receive.
     pub fn try_recv(&self) -> Option<(NodeId, M)> {
-        match self.receiver.try_recv() {
-            Ok(v) => Some(v),
-            Err(TryRecvError::Empty) | Err(TryRecvError::Disconnected) => None,
-        }
+        self.receiver.try_recv().ok()
     }
 
     /// Cluster size.

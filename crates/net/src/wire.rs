@@ -1,9 +1,9 @@
 //! Composable binary codec for socket transports.
 //!
-//! The offline `serde` stand-in has no serializer, so everything that
-//! crosses a real socket — engine messages over [`crate::tcp`], leg
-//! specs and reports over the bench control protocol — encodes through
-//! this one hand-rolled trait instead. The format is little-endian,
+//! The workspace builds offline with no serialization crate, so
+//! everything that crosses a real socket — engine messages over
+//! [`crate::tcp`], leg specs and reports over the bench control
+//! protocol — encodes through this one hand-rolled trait. The format is little-endian,
 //! length-prefixed where variable, and deliberately boring: no
 //! self-description, no versioning beyond the frame layer's handshake,
 //! because both ends of every connection are the same binary.

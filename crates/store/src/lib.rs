@@ -9,10 +9,12 @@
 //! * **wait-free local operations** — queries answer from the local
 //!   object table, updates apply locally and replicate asynchronously
 //!   (the paper's core claim: causal objects need no waiting);
-//! * **batched causal broadcast** — pending updates coalesce into one
-//!   vector-clock-stamped envelope per flush
-//!   ([`cbm_net::broadcast::BatchCausalBroadcast`]), cutting message
-//!   counts by the mean batch size;
+//! * **batched causal multicast** — pending updates coalesce into one
+//!   envelope per interest mask per flush, stamped with a per-edge
+//!   sequence number and a delta-encoded knowledge header
+//!   ([`cbm_net::broadcast::InterestBatchCausalBroadcast`]; a full mask
+//!   is full replication), cutting message counts by the mean batch
+//!   size;
 //! * two replication modes ([`Mode`]): delivery-order application
 //!   (Fig. 4 ⇒ causal consistency) and Lamport-timestamp arbitration
 //!   with epoch-compacted per-object logs (Fig. 5 ⇒ causal
