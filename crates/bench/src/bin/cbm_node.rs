@@ -28,17 +28,18 @@
 //! ([`cbm_store::profile`]) — the full fault-injection story works
 //! over sockets.
 
+use cbm_bench::cli::{dump_flight_record, Flags, LegFlags};
 use cbm_bench::proto::{recv_ctrl, send_ctrl, Ctrl, LegSpec};
 use cbm_bench::{run_workload, Transport, Workload};
-use cbm_store::{profile, BatchPolicy, Mode, ObsConfig, ShardConfig, StoreConfig, VerifyConfig};
+use cbm_store::profile;
 use std::net::TcpStream;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
-        Some("serve") => serve(&args[1..]),
-        Some("run") => run_once(&args[1..]),
+        Some("serve") => serve(Flags::new(args[1..].to_vec(), "cbm-node: ")),
+        Some("run") => run_once(Flags::new(args[1..].to_vec(), "cbm-node: ")),
         Some("--help") | Some("-h") => {
             print_help();
             ExitCode::SUCCESS
@@ -92,44 +93,25 @@ fn execute(id: usize, spec: &LegSpec) -> cbm_store::StoreReport {
         report.windows.len(),
         report.windows_failed
     );
-    if let Some(rec) = &report.trace {
-        let wanted = spec.trace
-            || !report.verified()
-            || report.monitor.escalations > 0
-            || report.chaos.repairs > 0
-            || !report.chaos.recoveries.is_empty();
-        if wanted {
-            match cbm_bench::write_trace(&spec.trace_dir, &spec.name, rec) {
-                Ok((chrome, jsonl)) => eprintln!("cbm-node[{id}]   trace: {chrome} + {jsonl}"),
-                Err(e) => eprintln!(
-                    "cbm-node[{id}]   trace: could not write to {}: {e}",
-                    spec.trace_dir
-                ),
-            }
-        }
-    }
+    dump_flight_record(
+        &spec.name,
+        &report,
+        spec.trace,
+        &spec.trace_dir,
+        &format!("cbm-node[{id}] "),
+    );
     report.trace = None; // never crosses the control socket
     report
 }
 
-fn serve(args: &[String]) -> ExitCode {
+fn serve(mut flags: Flags) -> ExitCode {
     let mut control: Option<String> = None;
     let mut id: usize = 0;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
+    while let Some(a) = flags.next() {
         match a.as_str() {
-            "--control" => control = it.next().cloned(),
-            "--id" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(v) => id = v,
-                None => {
-                    eprintln!("cbm-node: --id needs a number");
-                    return ExitCode::from(2);
-                }
-            },
-            other => {
-                eprintln!("cbm-node serve: unknown flag '{other}'");
-                return ExitCode::from(2);
-            }
+            "--control" => control = flags.next(),
+            "--id" => id = flags.value(&a, "a number"),
+            other => flags.unknown(other),
         }
     }
     let Some(addr) = control else {
@@ -173,111 +155,31 @@ fn serve(args: &[String]) -> ExitCode {
     }
 }
 
-fn run_once(args: &[String]) -> ExitCode {
-    let mut cfg = StoreConfig::default();
-    let mut read_ratio = 0.5;
-    let mut remote_read_ratio = 0.05;
-    let mut workload_name = String::from("register");
+fn run_once(mut flags: Flags) -> ExitCode {
+    let mut leg = LegFlags::default();
+    let mut counter = false;
+    let mut monitor = false;
     let mut profile_name: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let next_usize = |flag: &str, it: &mut std::slice::Iter<String>| -> Option<usize> {
-            let v = it.next().and_then(|v| v.parse().ok());
-            if v.is_none() {
-                eprintln!("cbm-node: {flag} needs a number");
-            }
-            v
-        };
+    while let Some(a) = flags.next() {
         match a.as_str() {
-            "--workers" => match next_usize("--workers", &mut it) {
-                Some(v) => cfg.workers = v,
-                None => return ExitCode::from(2),
-            },
-            "--objects" => match next_usize("--objects", &mut it) {
-                Some(v) => cfg.objects = v.max(1),
-                None => return ExitCode::from(2),
-            },
-            "--ops" => match next_usize("--ops", &mut it) {
-                Some(v) => cfg.ops_per_worker = v,
-                None => return ExitCode::from(2),
-            },
-            "--seed" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(v) => cfg.seed = v,
-                None => {
-                    eprintln!("cbm-node: --seed needs a number");
-                    return ExitCode::from(2);
-                }
-            },
-            "--rf" => match next_usize("--rf", &mut it) {
-                Some(v) => cfg.sharding = ShardConfig::rf(v),
-                None => return ExitCode::from(2),
-            },
-            "--locality" => match next_usize("--locality", &mut it) {
-                Some(v) => cfg.sharding.locality = v,
-                None => return ExitCode::from(2),
-            },
-            "--mode" => match it.next().map(String::as_str) {
-                Some("cc") => cfg.mode = Mode::Causal,
-                Some("ccv") => cfg.mode = Mode::Convergent,
-                _ => {
-                    eprintln!("cbm-node: --mode needs cc or ccv");
-                    return ExitCode::from(2);
-                }
-            },
-            "--batch" => match it.next().map(String::as_str) {
-                Some("off") => cfg.batch = BatchPolicy::Off,
-                Some(v) => match v.parse() {
-                    Ok(k) => cfg.batch = BatchPolicy::Every(k),
-                    Err(_) => {
-                        eprintln!("cbm-node: --batch needs a number or 'off'");
-                        return ExitCode::from(2);
-                    }
-                },
-                None => {
-                    eprintln!("cbm-node: --batch needs a number or 'off'");
-                    return ExitCode::from(2);
-                }
-            },
-            "--read-ratio" => match it.next().and_then(|v| v.parse::<f64>().ok()) {
-                Some(v) => read_ratio = v.clamp(0.0, 1.0),
-                None => {
-                    eprintln!("cbm-node: --read-ratio needs a number in [0,1]");
-                    return ExitCode::from(2);
-                }
-            },
-            "--remote-read-ratio" => match it.next().and_then(|v| v.parse::<f64>().ok()) {
-                Some(v) => remote_read_ratio = v.clamp(0.0, 1.0),
-                None => {
-                    eprintln!("cbm-node: --remote-read-ratio needs a number in [0,1]");
-                    return ExitCode::from(2);
-                }
-            },
-            "--workload" => match it.next().map(String::as_str) {
-                Some(w @ ("register" | "counter")) => workload_name = w.to_string(),
-                _ => {
-                    eprintln!("cbm-node: --workload needs register or counter");
-                    return ExitCode::from(2);
-                }
-            },
-            "--profile" => match it.next() {
-                Some(p) => profile_name = Some(p.clone()),
-                None => {
-                    eprintln!("cbm-node: --profile needs a chaos profile name");
-                    return ExitCode::from(2);
-                }
-            },
-            "--monitor" => cfg.verify.monitor = true,
-            other => {
-                eprintln!("cbm-node run: unknown flag '{other}'");
-                return ExitCode::from(2);
+            "--workload" => {
+                counter = flags.parsed(&a, "register or counter", |w| match w {
+                    "register" => Some(false),
+                    "counter" => Some(true),
+                    _ => None,
+                })
             }
+            "--profile" => profile_name = Some(flags.value(&a, "a chaos profile name")),
+            "--monitor" => monitor = true,
+            other if leg.parse(other, &mut flags) => {}
+            other => flags.unknown(other),
         }
     }
-    cfg.verify = VerifyConfig {
-        every_ops: cfg.verify.every_ops.min(cfg.ops_per_worker / 2).max(1),
-        ..cfg.verify
-    };
-    cfg.obs = ObsConfig::default();
+    let (mut cfg, mut workload) = leg.finish();
+    cfg.verify.monitor = monitor;
+    if counter {
+        workload = Workload::Counter;
+    }
     if let Some(name) = &profile_name {
         match profile(name, cfg.workers, cfg.verify.every_ops) {
             Some(plan) => cfg.chaos = plan,
@@ -290,13 +192,6 @@ fn run_once(args: &[String]) -> ExitCode {
             }
         }
     }
-    let workload = match workload_name.as_str() {
-        "counter" => Workload::Counter,
-        _ => Workload::Register {
-            read_ratio,
-            remote_read_ratio,
-        },
-    };
     let r = run_workload(&workload, &cfg, Transport::Tcp);
     println!(
         "cbm-node: {} workers over TCP, {} ops, {:.0} ops/s, {} msgs, \

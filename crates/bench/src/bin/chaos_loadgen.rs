@@ -68,9 +68,9 @@
 //! **durability cells** of `docs/DURABILITY.md`:
 //!
 //! * `crash-recover-disk` / `rolling-crashes-disk` — the same crash
-//!   profiles with the per-worker epoch log on (`--log-dir`,
-//!   `recover_from_disk`): a crashed worker's in-memory replica is
-//!   discarded and it restarts by replaying its own snapshot + log
+//!   profiles with the per-worker epoch log on (`--log-dir`), which
+//!   makes recovery disk-first: a crashed worker's in-memory replica
+//!   is discarded and it restarts by replaying its own snapshot + log
 //!   tail, then fetching only the post-cut delta from co-replicas.
 //!   The twin stays memory-only, so the byte-identical state gate
 //!   proves the disk path equivalent to the live transfer; the
@@ -82,6 +82,7 @@
 //!   state must be byte-identical to the uninterrupted twin. The
 //!   halt+resume pair runs twice to pin its determinism.
 
+use cbm_bench::cli::{list, quote, Flags, JsonDoc};
 use cbm_bench::{run_workload, Transport, Workload};
 use cbm_store::{
     profile, BatchPolicy, DurableConfig, Mode, ObsConfig, ShardConfig, StoreConfig, StoreReport,
@@ -229,7 +230,8 @@ struct Dims {
 }
 
 /// The durable override for one cell run: its own subdirectory (cells
-/// must never share logs) with the disk-first recovery ladder on.
+/// must never share logs). The log being on is what turns the
+/// disk-first recovery ladder on.
 fn cell_durable(base: &Path, label: &str, mode: Mode, seed: u64) -> DurableConfig {
     DurableConfig {
         log_dir: Some(
@@ -238,9 +240,97 @@ fn cell_durable(base: &Path, label: &str, mode: Mode, seed: u64) -> DurableConfi
                 .into_owned(),
         ),
         snapshot_every: 2,
-        recover_from_disk: true,
         resume: false,
         halt_at_boundary: 0,
+    }
+}
+
+/// The checks every cell makes of its chaos run `a`: verified windows,
+/// converged drains, a replay `a2` that reproduces every deterministic
+/// column, a final state byte-identical to the fault-free `twin` (and,
+/// under full replication, across replicas), and — with the monitor on
+/// — every op certified. `restart` words the failures for the
+/// cold-restart cell. Callers add their own checks to the returned
+/// cell.
+fn judge(
+    profile: String,
+    cfg: &StoreConfig,
+    [a, a2, twin]: [StoreReport; 3],
+    monitor: bool,
+    restart: bool,
+) -> Cell {
+    let mut failures = Vec::new();
+    for w in a.windows.iter().filter(|w| w.result.is_err()) {
+        failures.push(format!(
+            "window {} [{}]: {:?}",
+            w.window, w.criterion, w.result
+        ));
+    }
+    if !a.drains_converged {
+        failures.push("drain divergence".into());
+    }
+
+    let (det_a, det_a2) = (det_columns(&a), det_columns(&a2));
+    let determinism_match = det_a == det_a2;
+    for ((k, va), (_, vb)) in det_a.iter().zip(&det_a2) {
+        if va != vb {
+            failures.push(format!("nondeterministic {k}: {va} vs {vb}"));
+        }
+    }
+
+    // the run must end byte-identical to its fault-free twin, replica
+    // by replica; under full replication every replica must
+    // additionally agree (partial replicas host different shards, so
+    // cross-replica equality only holds per shard there — the drain
+    // convergence check covers that)
+    let full = cfg.sharding.replication == 0 || cfg.sharding.replication >= cfg.workers;
+    let hashes = &a.final_state_hashes;
+    let state_match =
+        *hashes == twin.final_state_hashes && (!full || hashes.iter().all(|&x| x == hashes[0]));
+    if !state_match {
+        failures.push(if restart {
+            format!(
+                "cold restart diverged from uninterrupted twin: {:x?} vs {:x?}",
+                hashes, twin.final_state_hashes
+            )
+        } else {
+            format!(
+                "final state mismatch: chaos {:x?} vs twin {:x?}",
+                hashes, twin.final_state_hashes
+            )
+        });
+    }
+
+    // a monitored cell must certify every op despite the fault plan:
+    // nack-repaired deliveries fold exactly once, recovered workers
+    // rebuild their shadows from the state transfer or their disk
+    if monitor {
+        if a.monitor.ops_checked != a.total_ops {
+            failures.push(format!(
+                "monitor certified {} of {} ops{}",
+                a.monitor.ops_checked,
+                a.total_ops,
+                if restart { " across the restart" } else { "" }
+            ));
+        }
+        if a.monitor.violations != 0 {
+            failures.push(format!(
+                "{} confirmed monitor violation(s): {:?}",
+                a.monitor.violations, a.monitor.records
+            ));
+        }
+    }
+
+    Cell {
+        profile,
+        mode: cfg.mode,
+        seed: cfg.seed,
+        ops_survived: a.total_ops,
+        windows_spanning_recovery: 0,
+        determinism_match,
+        state_match,
+        failures,
+        report: a,
     }
 }
 
@@ -270,48 +360,13 @@ fn run_cell(
     // proves the disk ladder equivalent to the live state transfer
     let free_cfg = cfg(mode, seed, quick, dim, cbm_net::fault::FaultPlan::new());
 
-    let a = run_workload(&Workload::Counter, &chaos_cfg, transport);
-    let a2 = run_workload(&Workload::Counter, &chaos_cfg, transport);
-    let twin = run_workload(&Workload::Counter, &free_cfg, transport);
-
-    let mut failures = Vec::new();
-    for w in a.windows.iter().filter(|w| w.result.is_err()) {
-        failures.push(format!(
-            "window {} [{}]: {:?}",
-            w.window, w.criterion, w.result
-        ));
-    }
-    if !a.drains_converged {
-        failures.push("drain divergence".into());
-    }
-
-    let determinism_match = det_columns(&a) == det_columns(&a2);
-    if !determinism_match {
-        for ((k, va), (_, vb)) in det_columns(&a).iter().zip(det_columns(&a2).iter()) {
-            if va != vb {
-                failures.push(format!("nondeterministic {k}: {va} vs {vb}"));
-            }
-        }
-    }
-
-    // the chaos run must end byte-identical to its fault-free twin,
-    // replica by replica; under full replication every replica must
-    // additionally agree (partial replicas host different shards, so
-    // cross-replica equality only holds per shard there — the drain
-    // convergence check covers that)
-    let full =
-        chaos_cfg.sharding.replication == 0 || chaos_cfg.sharding.replication >= chaos_cfg.workers;
-    let state_match = a.final_state_hashes == twin.final_state_hashes
-        && (!full
-            || a.final_state_hashes
-                .iter()
-                .all(|&x| x == a.final_state_hashes[0]));
-    if !state_match {
-        failures.push(format!(
-            "final state mismatch: chaos {:x?} vs twin {:x?}",
-            a.final_state_hashes, twin.final_state_hashes
-        ));
-    }
+    let runs = [
+        run_workload(&Workload::Counter, &chaos_cfg, transport),
+        run_workload(&Workload::Counter, &chaos_cfg, transport),
+        run_workload(&Workload::Counter, &free_cfg, transport),
+    ];
+    let mut cell = judge(label, &chaos_cfg, runs, dim.monitor, false);
+    let (a, failures) = (&cell.report, &mut cell.failures);
 
     // the schedule itself says how many crash spans the profile has —
     // no hand-maintained table to drift out of sync with the profiles
@@ -322,12 +377,12 @@ fn run_cell(
             a.chaos.recoveries.len()
         ));
     }
-    let windows_spanning_recovery = a
+    let spanning = a
         .windows
         .iter()
         .filter(|w| w.spans_recovery && w.result.is_ok())
         .count();
-    if want_rec > 0 && windows_spanning_recovery == 0 {
+    if want_rec > 0 && spanning == 0 {
         failures.push("no verified window spans a recovery".into());
     }
     if a.total_ops != chaos_cfg.total_ops() {
@@ -337,36 +392,8 @@ fn run_cell(
             chaos_cfg.total_ops()
         ));
     }
-
-    // a monitored cell must certify every op despite the fault plan:
-    // nack-repaired deliveries fold exactly once, recovered workers
-    // rebuild their shadows from the state transfer
-    if dim.monitor {
-        if a.monitor.ops_checked != a.total_ops {
-            failures.push(format!(
-                "monitor certified {} of {} ops",
-                a.monitor.ops_checked, a.total_ops
-            ));
-        }
-        if a.monitor.violations != 0 {
-            failures.push(format!(
-                "{} confirmed monitor violation(s): {:?}",
-                a.monitor.violations, a.monitor.records
-            ));
-        }
-    }
-
-    Cell {
-        profile: label,
-        mode,
-        seed,
-        ops_survived: a.total_ops,
-        windows_spanning_recovery,
-        determinism_match,
-        state_match,
-        failures,
-        report: a,
-    }
+    cell.windows_spanning_recovery = spanning;
+    cell
 }
 
 /// The fault-free cold-restart cell: run to the middle epoch boundary
@@ -405,19 +432,17 @@ fn run_cold_cell(
     let (halted, a) = pair("a");
     let (_, a2) = pair("b");
     let twin = run_workload(&Workload::Counter, &base_cfg, transport);
+    let mut cell = judge(
+        "cold-restart".into(),
+        &base_cfg,
+        [a, a2, twin],
+        dim.monitor,
+        true,
+    );
+    let (a, failures) = (&cell.report, &mut cell.failures);
 
-    let mut failures = Vec::new();
     if !halted.verified() {
         failures.push("halted prefix run had unverified windows".into());
-    }
-    for w in a.windows.iter().filter(|w| w.result.is_err()) {
-        failures.push(format!(
-            "window {} [{}]: {:?}",
-            w.window, w.criterion, w.result
-        ));
-    }
-    if !a.drains_converged {
-        failures.push("drain divergence".into());
     }
     if a.total_ops != base_cfg.total_ops() {
         failures.push(format!(
@@ -426,30 +451,6 @@ fn run_cold_cell(
             base_cfg.total_ops()
         ));
     }
-
-    let determinism_match = det_columns(&a) == det_columns(&a2);
-    if !determinism_match {
-        for ((k, va), (_, vb)) in det_columns(&a).iter().zip(det_columns(&a2).iter()) {
-            if va != vb {
-                failures.push(format!("nondeterministic {k}: {va} vs {vb}"));
-            }
-        }
-    }
-
-    let full =
-        base_cfg.sharding.replication == 0 || base_cfg.sharding.replication >= base_cfg.workers;
-    let state_match = a.final_state_hashes == twin.final_state_hashes
-        && (!full
-            || a.final_state_hashes
-                .iter()
-                .all(|&x| x == a.final_state_hashes[0]));
-    if !state_match {
-        failures.push(format!(
-            "cold restart diverged from uninterrupted twin: {:x?} vs {:x?}",
-            a.final_state_hashes, twin.final_state_hashes
-        ));
-    }
-
     // every worker resumed from its own disk: one self-helper row each
     if a.chaos.recoveries.len() != base_cfg.workers {
         failures.push(format!(
@@ -466,40 +467,14 @@ fn run_cold_cell(
             ));
         }
     }
-    if disk_cols(&a).1 == 0 {
+    if disk_cols(a).1 == 0 {
         failures.push("resume replayed no log records".into());
     }
-
-    if dim.monitor {
-        if a.monitor.ops_checked != a.total_ops {
-            failures.push(format!(
-                "monitor certified {} of {} ops across the restart",
-                a.monitor.ops_checked, a.total_ops
-            ));
-        }
-        if a.monitor.violations != 0 {
-            failures.push(format!(
-                "{} confirmed monitor violation(s): {:?}",
-                a.monitor.violations, a.monitor.records
-            ));
-        }
-    }
-
-    Cell {
-        profile: "cold-restart".into(),
-        mode,
-        seed,
-        ops_survived: a.total_ops,
-        windows_spanning_recovery: 0,
-        determinism_match,
-        state_match,
-        failures,
-        report: a,
-    }
+    cell
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    let mut flags = Flags::from_env();
     let mut quick = false;
     let mut out_path = String::from("BENCH_chaos.json");
     let mut summary_path: Option<String> = None;
@@ -512,75 +487,20 @@ fn main() -> ExitCode {
     let mut monitor = false;
     let mut transport = Transport::Thread;
     let mut log_dir: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
+    while let Some(a) = flags.next() {
         match a.as_str() {
             "--quick" => quick = true,
             "--trace" => trace = true,
             "--monitor" => monitor = true,
-            "--log-dir" => match it.next() {
-                Some(p) => log_dir = Some(p.clone()),
-                None => {
-                    eprintln!("--log-dir needs a path");
-                    return ExitCode::from(2);
-                }
-            },
-            "--transport" => match it.next().map(String::as_str).and_then(Transport::parse) {
-                Some(t) => transport = t,
-                None => {
-                    eprintln!("--transport needs thread or tcp");
-                    return ExitCode::from(2);
-                }
-            },
-            "--trace-dir" => match it.next() {
-                Some(p) => trace_dir = p.clone(),
-                None => {
-                    eprintln!("--trace-dir needs a path");
-                    return ExitCode::from(2);
-                }
-            },
-            "--out" => match it.next() {
-                Some(p) => out_path = p.clone(),
-                None => {
-                    eprintln!("--out needs a path");
-                    return ExitCode::from(2);
-                }
-            },
-            "--summary" => match it.next() {
-                Some(p) => summary_path = Some(p.clone()),
-                None => {
-                    eprintln!("--summary needs a path");
-                    return ExitCode::from(2);
-                }
-            },
-            "--seeds" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) => seeds = n,
-                None => {
-                    eprintln!("--seeds needs a number");
-                    return ExitCode::from(2);
-                }
-            },
-            "--rf" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) => rf = n,
-                None => {
-                    eprintln!("--rf needs a replication factor (0 = full)");
-                    return ExitCode::from(2);
-                }
-            },
-            "--workers" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) => workers = n,
-                None => {
-                    eprintln!("--workers needs a worker count (0 = default 4)");
-                    return ExitCode::from(2);
-                }
-            },
-            "--locality" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) => locality = n,
-                None => {
-                    eprintln!("--locality needs a window size (0 = global draw)");
-                    return ExitCode::from(2);
-                }
-            },
+            "--log-dir" => log_dir = Some(flags.value(&a, "a path")),
+            "--transport" => transport = flags.parsed(&a, "thread or tcp", Transport::parse),
+            "--trace-dir" => trace_dir = flags.value(&a, "a path"),
+            "--out" => out_path = flags.value(&a, "a path"),
+            "--summary" => summary_path = Some(flags.value(&a, "a path")),
+            "--seeds" => seeds = flags.value(&a, "a number"),
+            "--rf" => rf = flags.value(&a, "a replication factor (0 = full)"),
+            "--workers" => workers = flags.value(&a, "a worker count (0 = default 4)"),
+            "--locality" => locality = flags.value(&a, "a window size (0 = global draw)"),
             "--help" | "-h" => {
                 println!(
                     "chaos_loadgen [--quick] [--out PATH] [--seeds N] [--summary PATH] \
@@ -589,10 +509,7 @@ fn main() -> ExitCode {
                 );
                 return ExitCode::SUCCESS;
             }
-            other => {
-                eprintln!("unknown flag '{other}'");
-                return ExitCode::from(2);
-            }
+            other => flags.unknown(other),
         }
     }
     if seeds == 0 {
@@ -606,7 +523,9 @@ fn main() -> ExitCode {
         monitor,
     };
     // the durability cells always run; without --log-dir they write
-    // under a process-scoped scratch directory in $TMPDIR
+    // under a process-scoped scratch directory in $TMPDIR, removed at
+    // exit unless a cell failed (its logs are then the post-mortem)
+    let scratch = log_dir.is_none();
     let log_base: PathBuf = log_dir.map(PathBuf::from).unwrap_or_else(|| {
         std::env::temp_dir().join(format!("cbm-chaos-logs-{}", std::process::id()))
     });
@@ -685,6 +604,16 @@ fn main() -> ExitCode {
         }
     }
 
+    if scratch {
+        if failed == 0 {
+            if let Err(e) = std::fs::remove_dir_all(&log_base) {
+                eprintln!("could not remove {}: {e}", log_base.display());
+            }
+        } else {
+            eprintln!("epoch logs kept for post-mortem: {}", log_base.display());
+        }
+    }
+
     let json = render_json(quick, seeds, rf, &cells);
     if let Err(e) = std::fs::write(&out_path, &json) {
         eprintln!("could not write {out_path}: {e}");
@@ -706,124 +635,101 @@ fn main() -> ExitCode {
     }
 }
 
-/// Hand-rolled JSON (the workspace has no JSON crate;
-/// the explicit schema doubles as documentation).
+/// The chaos document (the workspace has no JSON crate; the explicit
+/// schema doubles as documentation).
 fn render_json(quick: bool, seeds: u64, rf: usize, cells: &[Cell]) -> String {
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str("  \"schema\": \"cbm-chaos-v1\",\n");
-    s.push_str(&format!("  \"quick\": {quick},\n"));
-    s.push_str(&format!("  \"seeds_per_cell\": {seeds},\n"));
-    s.push_str(&format!("  \"replication\": {rf},\n"));
-    // bytes_sent stays in each cell as an informational column but is
-    // not deterministic: delta headers depend on delivery interleaving
-    s.push_str(
-        "  \"deterministic_columns\": [\"total_ops\", \"msgs_sent\", \
-         \"drops\", \"dups\", \"parked\", \"released\", \"delayed\", \"pruned\", \"crash_discarded\", \"nacks\", \"repairs\", \
-         \"repaired_batches\", \"recoveries\", \"remote_reads\", \"windows\", \
-         \"monitor_ops_checked\", \"monitor_escalations\", \
-         \"log_bytes\", \"replayed_records\"],\n",
-    );
-    s.push_str("  \"cells\": [\n");
-    for (i, c) in cells.iter().enumerate() {
+    let mut d = JsonDoc::default();
+    d.field("schema", quote("cbm-chaos-v1"))
+        .field("quick", quick)
+        .field("seeds_per_cell", seeds)
+        .field("replication", rf)
+        // bytes_sent stays in each cell as an informational column but
+        // is not deterministic: delta headers depend on delivery
+        // interleaving
+        .field(
+            "deterministic_columns",
+            list(
+                [
+                    "total_ops",
+                    "msgs_sent",
+                    "drops",
+                    "dups",
+                    "parked",
+                    "released",
+                    "delayed",
+                    "pruned",
+                    "crash_discarded",
+                    "nacks",
+                    "repairs",
+                    "repaired_batches",
+                    "recoveries",
+                    "remote_reads",
+                    "windows",
+                    "monitor_ops_checked",
+                    "monitor_escalations",
+                    "log_bytes",
+                    "replayed_records",
+                ]
+                .map(quote),
+            ),
+        )
+        .array("cells");
+    for c in cells {
         let r = &c.report;
-        s.push_str("    {\n");
-        s.push_str(&format!("      \"profile\": \"{}\",\n", c.profile));
-        s.push_str(&format!("      \"mode\": \"{}\",\n", c.mode.criterion()));
-        s.push_str(&format!("      \"seed\": {},\n", c.seed));
-        s.push_str(&format!("      \"workers\": {},\n", r.config.workers));
-        s.push_str(&format!(
-            "      \"ops_per_worker\": {},\n",
-            r.config.ops_per_worker
-        ));
-        s.push_str(&format!("      \"ops_survived\": {},\n", c.ops_survived));
-        s.push_str(&format!("      \"wall_ms\": {},\n", r.wall_ns / 1_000_000));
-        s.push_str(&format!("      \"msgs_sent\": {},\n", r.msgs_sent));
-        s.push_str(&format!("      \"bytes_sent\": {},\n", r.bytes_sent));
-        s.push_str(&format!("      \"drops\": {},\n", r.chaos.drops));
-        s.push_str(&format!("      \"dups\": {},\n", r.chaos.dups));
-        s.push_str(&format!("      \"parked\": {},\n", r.chaos.parked));
-        s.push_str(&format!("      \"released\": {},\n", r.chaos.released));
-        s.push_str(&format!("      \"delayed\": {},\n", r.chaos.delayed));
-        s.push_str(&format!("      \"pruned\": {},\n", r.chaos.pruned));
-        s.push_str(&format!(
-            "      \"crash_discarded\": {},\n",
-            r.chaos.crash_discarded
-        ));
-        s.push_str(&format!("      \"nacks\": {},\n", r.chaos.nacks));
-        s.push_str(&format!("      \"repairs\": {},\n", r.chaos.repairs));
-        s.push_str(&format!(
-            "      \"repaired_batches\": {},\n",
-            r.chaos.repaired_batches
-        ));
-        s.push_str(&format!(
-            "      \"dropped_per_node\": {:?},\n",
-            r.chaos.dropped_per_node
-        ));
-        s.push_str(&format!("      \"remote_reads\": {},\n", r.remote_reads));
         let (log_bytes, replayed) = disk_cols(r);
-        s.push_str(&format!("      \"log_bytes\": {log_bytes},\n"));
-        s.push_str(&format!("      \"replayed_records\": {replayed},\n"));
-        s.push_str("      \"recoveries\": [\n");
-        for (j, rec) in r.chaos.recoveries.iter().enumerate() {
-            s.push_str(&format!(
-                "        {{\"worker\": {}, \"helper\": {}, \"crash_epoch\": {}, \
-                 \"recover_epoch\": {}, \"synced_shards\": {}, \"synced_objects\": {}, \
-                 \"replayed_records\": {}, \"log_bytes\": {}, \"sync_ms\": {}}}{}\n",
-                rec.worker,
-                rec.helper,
-                rec.crash_epoch,
-                rec.recover_epoch,
-                rec.synced_shards,
-                rec.synced_objects,
-                rec.replayed_records,
-                rec.log_bytes,
-                rec.sync_wall_ns / 1_000_000,
-                if j + 1 < r.chaos.recoveries.len() {
-                    ","
-                } else {
-                    ""
-                }
-            ));
+        d.object()
+            .field("profile", quote(&c.profile))
+            .field("mode", quote(c.mode.criterion()))
+            .field("seed", c.seed)
+            .field("workers", r.config.workers)
+            .field("ops_per_worker", r.config.ops_per_worker)
+            .field("ops_survived", c.ops_survived)
+            .field("wall_ms", r.wall_ns / 1_000_000)
+            .field("msgs_sent", r.msgs_sent)
+            .field("bytes_sent", r.bytes_sent)
+            .field("drops", r.chaos.drops)
+            .field("dups", r.chaos.dups)
+            .field("parked", r.chaos.parked)
+            .field("released", r.chaos.released)
+            .field("delayed", r.chaos.delayed)
+            .field("pruned", r.chaos.pruned)
+            .field("crash_discarded", r.chaos.crash_discarded)
+            .field("nacks", r.chaos.nacks)
+            .field("repairs", r.chaos.repairs)
+            .field("repaired_batches", r.chaos.repaired_batches)
+            .field("dropped_per_node", list(&r.chaos.dropped_per_node))
+            .field("remote_reads", r.remote_reads)
+            .field("log_bytes", log_bytes)
+            .field("replayed_records", replayed)
+            .array("recoveries");
+        for rec in &r.chaos.recoveries {
+            d.inline(&[
+                ("worker", &rec.worker),
+                ("helper", &rec.helper),
+                ("crash_epoch", &rec.crash_epoch),
+                ("recover_epoch", &rec.recover_epoch),
+                ("synced_shards", &rec.synced_shards),
+                ("synced_objects", &rec.synced_objects),
+                ("replayed_records", &rec.replayed_records),
+                ("log_bytes", &rec.log_bytes),
+                ("sync_ms", &(rec.sync_wall_ns / 1_000_000)),
+            ]);
         }
-        s.push_str("      ],\n");
-        s.push_str(&format!("      \"windows\": {},\n", r.windows.len()));
-        s.push_str(&format!(
-            "      \"windows_failed\": {},\n",
-            r.windows_failed
-        ));
-        s.push_str(&format!(
-            "      \"windows_spanning_recovery\": {},\n",
-            c.windows_spanning_recovery
-        ));
+        d.end()
+            .field("windows", r.windows.len())
+            .field("windows_failed", r.windows_failed)
+            .field("windows_spanning_recovery", c.windows_spanning_recovery);
         if r.monitor.enabled {
-            s.push_str(&format!(
-                "      \"monitor_ops_checked\": {},\n",
-                r.monitor.ops_checked
-            ));
-            s.push_str(&format!(
-                "      \"monitor_escalations\": {},\n",
-                r.monitor.escalations
-            ));
-            s.push_str(&format!(
-                "      \"monitor_violations\": {},\n",
-                r.monitor.violations
-            ));
+            d.field("monitor_ops_checked", r.monitor.ops_checked)
+                .field("monitor_escalations", r.monitor.escalations)
+                .field("monitor_violations", r.monitor.violations);
         }
-        s.push_str(&format!(
-            "      \"determinism_match\": {},\n",
-            c.determinism_match
-        ));
-        s.push_str(&format!("      \"state_match\": {},\n", c.state_match));
-        s.push_str(&format!("      \"ok\": {}\n", c.failures.is_empty()));
-        s.push_str(&format!(
-            "    }}{}\n",
-            if i + 1 < cells.len() { "," } else { "" }
-        ));
+        d.field("determinism_match", c.determinism_match)
+            .field("state_match", c.state_match)
+            .field("ok", c.failures.is_empty())
+            .end();
     }
-    s.push_str("  ]\n");
-    s.push_str("}\n");
-    s
+    d.finish()
 }
 
 /// Per-recipient fault counts as `a/b/c/d` (one slot per node), the

@@ -54,8 +54,11 @@
 //!
 //! With no workload flags, runs the **fixed matrix** (threads ×
 //! objects × read-ratio × batching × mode) and writes one JSON
-//! document; passing any workload flag runs that single configuration
-//! instead. Two consumers:
+//! document (by default the committed baseline it corresponds to);
+//! passing any workload flag runs that single `custom` configuration
+//! instead, which writes a document only to an explicit `--out`. The
+//! workload flags are parsed by [`cbm_bench::cli::LegFlags`], shared
+//! with `cbm-node run`. Two consumers:
 //!
 //! * **the perf trajectory** — the matrix output is committed at the
 //!   repo root as `BENCH_throughput.json`, the second axis next to
@@ -105,12 +108,12 @@
 //! monitor-confirmed violation on a monitor-enabled leg, or a `--gate`
 //! deviation.
 
+use cbm_bench::cli::{list, quote, Flags, JsonDoc, LegFlags};
 use cbm_bench::fleet::NodePool;
 use cbm_bench::proto::LegSpec;
 use cbm_bench::{run_workload, Transport, Workload};
 use cbm_store::{
-    BatchPolicy, DurableConfig, Mode, ObsConfig, ShardConfig, StoreConfig, StoreReport,
-    VerifyConfig,
+    BatchPolicy, DurableConfig, Mode, ShardConfig, StoreConfig, StoreReport, VerifyConfig,
 };
 use std::process::ExitCode;
 
@@ -119,67 +122,58 @@ use std::process::ExitCode;
 struct Leg {
     name: String,
     cfg: StoreConfig,
-    read_ratio: f64,
-    /// Fraction of reads that target an arbitrary object (and so may
-    /// route to a remote replica under partial replication); the rest
-    /// read objects the issuing worker hosts. Irrelevant at full
-    /// replication, where every read is local anyway.
-    remote_read_ratio: f64,
+    workload: Workload,
 }
 
-#[allow(clippy::too_many_arguments)] // a matrix-cell literal, not an API
-fn leg(
-    name: &str,
-    mode: Mode,
-    workers: usize,
-    objects: usize,
-    ops: usize,
-    batch: BatchPolicy,
-    read_ratio: f64,
-    verify_every: usize,
-    window_ops: usize,
-    seed: u64,
-) -> Leg {
+/// A matrix leg. Its name spells out its shape —
+/// `{cc|ccv}-{W}w-{O}o-{bK|nobatch}-r{read %}[-rf{N}[-loc{L}]][-quick]`
+/// — and is parsed here, so a leg's name (the key its committed
+/// baseline row is gated by) can never disagree with what it runs.
+/// Not in the name: per-worker `ops`, the verification period `every`,
+/// the window length `window`, and the fraction `remote` of reads
+/// that target an arbitrary object (and so may route to a remote
+/// replica under partial replication; the rest read objects the
+/// issuing worker hosts).
+fn leg(name: &str, ops: usize, every: usize, window: usize, remote: f64) -> Leg {
+    let mut cfg = StoreConfig {
+        ops_per_worker: ops,
+        verify: VerifyConfig {
+            every_ops: every,
+            window_ops: window,
+            ..VerifyConfig::default()
+        },
+        seed: 42,
+        ..StoreConfig::default()
+    };
+    let mut read_ratio = None;
+    for part in name.split('-') {
+        let tag: String = part.chars().filter(char::is_ascii_alphabetic).collect();
+        let n: usize = part
+            .trim_matches(|c: char| c.is_ascii_alphabetic())
+            .parse()
+            .unwrap_or(0);
+        match tag.as_str() {
+            "cc" => cfg.mode = Mode::Causal,
+            "ccv" => cfg.mode = Mode::Convergent,
+            "w" => cfg.workers = n,
+            "o" => cfg.objects = n,
+            "b" => cfg.batch = BatchPolicy::Every(n),
+            "nobatch" => cfg.batch = BatchPolicy::Off,
+            "r" => read_ratio = Some(n as f64 / 100.0),
+            "rf" => cfg.sharding = ShardConfig::rf(n),
+            "loc" => cfg.sharding.locality = n,
+            "quick" => {}
+            _ => panic!("leg name {name}: unknown part '{part}'"),
+        }
+    }
     Leg {
         name: name.to_string(),
-        cfg: StoreConfig {
-            workers,
-            objects,
-            ops_per_worker: ops,
-            mode,
-            batch,
-            verify: VerifyConfig {
-                every_ops: verify_every,
-                window_ops,
-                sample_every: 1,
-                monitor: false,
-            },
-            seed,
-            sharding: ShardConfig::full(),
-            chaos: cbm_net::fault::FaultPlan::new(),
-            obs: ObsConfig::default(),
-            durable: DurableConfig::default(),
+        cfg,
+        workload: Workload::Register {
+            read_ratio: read_ratio.expect("leg name has a read ratio"),
+            remote_read_ratio: remote,
         },
-        read_ratio,
-        remote_read_ratio: 0.0,
     }
-}
-
-/// A `leg` at replication factor `rf` with `remote` of its reads
-/// targeting arbitrary (possibly non-hosted) objects.
-fn sharded(mut l: Leg, rf: usize, remote: f64) -> Leg {
-    l.cfg.sharding = ShardConfig::rf(rf);
-    l.remote_read_ratio = remote;
-    l
-}
-
-/// A `sharded` leg whose replicas are confined to a `locality`-worker
-/// neighborhood of each shard's home — the large-cluster placement
-/// that keeps interest fan-in (and delta-header size) bounded.
-fn localized(mut l: Leg, rf: usize, locality: usize, remote: f64) -> Leg {
-    l.cfg.sharding = ShardConfig::rf_local(rf, locality);
-    l.remote_read_ratio = remote;
-    l
 }
 
 /// The `-mon` twin of a leg: the identical workload with the
@@ -209,144 +203,21 @@ fn with_monitor_twins(mut legs: Vec<Leg>, names: &[&str]) -> Vec<Leg> {
 /// twin (the ≥5× message-cut comparison), the convergent flavour, and
 /// threads / objects / read-ratio sweep legs.
 fn full_matrix() -> Vec<Leg> {
-    let b32 = BatchPolicy::Every(32);
     let legs = vec![
-        leg(
-            "cc-4w-1024o-b32-r50",
-            Mode::Causal,
-            4,
-            1024,
-            250_000,
-            b32,
-            0.5,
-            50_000,
-            48,
-            42,
-        ),
-        leg(
-            "cc-4w-1024o-nobatch-r50",
-            Mode::Causal,
-            4,
-            1024,
-            250_000,
-            BatchPolicy::Off,
-            0.5,
-            50_000,
-            48,
-            42,
-        ),
-        leg(
-            "ccv-4w-1024o-b32-r50",
-            Mode::Convergent,
-            4,
-            1024,
-            250_000,
-            b32,
-            0.5,
-            50_000,
-            48,
-            42,
-        ),
-        leg(
-            "cc-2w-1024o-b32-r50",
-            Mode::Causal,
-            2,
-            1024,
-            250_000,
-            b32,
-            0.5,
-            50_000,
-            48,
-            42,
-        ),
-        leg(
-            "cc-8w-1024o-b32-r50",
-            Mode::Causal,
-            8,
-            1024,
-            125_000,
-            b32,
-            0.5,
-            25_000,
-            48,
-            42,
-        ),
-        leg(
-            "cc-4w-64o-b32-r50",
-            Mode::Causal,
-            4,
-            64,
-            250_000,
-            b32,
-            0.5,
-            50_000,
-            48,
-            42,
-        ),
-        leg(
-            "cc-4w-1024o-b32-r90",
-            Mode::Causal,
-            4,
-            1024,
-            250_000,
-            b32,
-            0.9,
-            50_000,
-            48,
-            42,
-        ),
+        leg("cc-4w-1024o-b32-r50", 250_000, 50_000, 48, 0.0),
+        leg("cc-4w-1024o-nobatch-r50", 250_000, 50_000, 48, 0.0),
+        leg("ccv-4w-1024o-b32-r50", 250_000, 50_000, 48, 0.0),
+        leg("cc-2w-1024o-b32-r50", 250_000, 50_000, 48, 0.0),
+        leg("cc-8w-1024o-b32-r50", 125_000, 25_000, 48, 0.0),
+        leg("cc-4w-64o-b32-r50", 250_000, 50_000, 48, 0.0),
+        leg("cc-4w-1024o-b32-r90", 250_000, 50_000, 48, 0.0),
         // the partial-replication axis: same workload shape as the
         // 8-worker full-replication leg, at rf 2 and rf 4, with 1% of
         // reads allowed to roam (exercising the request/reply path
         // without letting it dominate the traffic comparison)
-        sharded(
-            leg(
-                "cc-8w-1024o-b32-r50-rf2",
-                Mode::Causal,
-                8,
-                1024,
-                125_000,
-                b32,
-                0.5,
-                25_000,
-                48,
-                42,
-            ),
-            2,
-            0.01,
-        ),
-        sharded(
-            leg(
-                "cc-8w-1024o-b32-r50-rf4",
-                Mode::Causal,
-                8,
-                1024,
-                125_000,
-                b32,
-                0.5,
-                25_000,
-                48,
-                42,
-            ),
-            4,
-            0.01,
-        ),
-        sharded(
-            leg(
-                "ccv-8w-1024o-b32-r50-rf2",
-                Mode::Convergent,
-                8,
-                1024,
-                125_000,
-                b32,
-                0.5,
-                25_000,
-                48,
-                42,
-            ),
-            2,
-            0.01,
-        ),
+        leg("cc-8w-1024o-b32-r50-rf2", 125_000, 25_000, 48, 0.01),
+        leg("cc-8w-1024o-b32-r50-rf4", 125_000, 25_000, 48, 0.01),
+        leg("ccv-8w-1024o-b32-r50-rf2", 125_000, 25_000, 48, 0.01),
         // the cluster-scaling axis (docs/SCALING.md): rf 2 with an
         // 8-worker aligned locality block, 64 -> 128 -> 256 workers at
         // a shrinking per-worker op count (the committed curve is
@@ -359,57 +230,9 @@ fn full_matrix() -> Vec<Leg> {
         // cluster size. The curve these legs commit is the acceptance
         // evidence that delta-encoded metadata keeps bytes/op
         // flat-to-falling as the cluster grows.
-        localized(
-            leg(
-                "cc-64w-1024o-b32-r50-rf2-loc8",
-                Mode::Causal,
-                64,
-                1024,
-                8_000,
-                b32,
-                0.5,
-                4_000,
-                24,
-                42,
-            ),
-            2,
-            8,
-            0.002,
-        ),
-        localized(
-            leg(
-                "cc-128w-1024o-b32-r50-rf2-loc8",
-                Mode::Causal,
-                128,
-                1024,
-                4_000,
-                b32,
-                0.5,
-                2_000,
-                24,
-                42,
-            ),
-            2,
-            8,
-            0.002,
-        ),
-        localized(
-            leg(
-                "cc-256w-1024o-b32-r50-rf2-loc8",
-                Mode::Causal,
-                256,
-                1024,
-                2_000,
-                b32,
-                0.5,
-                1_000,
-                24,
-                42,
-            ),
-            2,
-            8,
-            0.002,
-        ),
+        leg("cc-64w-1024o-b32-r50-rf2-loc8", 8_000, 4_000, 24, 0.002),
+        leg("cc-128w-1024o-b32-r50-rf2-loc8", 4_000, 2_000, 24, 0.002),
+        leg("cc-256w-1024o-b32-r50-rf2-loc8", 2_000, 1_000, 24, 0.002),
     ];
     // The monitor axis: the 1M-op 8-worker headline tax comparison,
     // the convergent flavour, and the rf-2 partial-replication leg
@@ -427,115 +250,20 @@ fn full_matrix() -> Vec<Leg> {
 /// CI smoke matrix: small enough for a debug-capable runner, still one
 /// leg per mode plus the unbatched comparison.
 fn quick_matrix() -> Vec<Leg> {
-    let b8 = BatchPolicy::Every(8);
     let legs = vec![
-        leg(
-            "cc-4w-64o-b8-r50-quick",
-            Mode::Causal,
-            4,
-            64,
-            4_000,
-            b8,
-            0.5,
-            1_000,
-            24,
-            42,
-        ),
-        leg(
-            "cc-4w-64o-nobatch-r50-quick",
-            Mode::Causal,
-            4,
-            64,
-            4_000,
-            BatchPolicy::Off,
-            0.5,
-            1_000,
-            24,
-            42,
-        ),
-        leg(
-            "ccv-4w-64o-b8-r50-quick",
-            Mode::Convergent,
-            4,
-            64,
-            4_000,
-            b8,
-            0.5,
-            1_000,
-            24,
-            42,
-        ),
+        leg("cc-4w-64o-b8-r50-quick", 4_000, 1_000, 24, 0.0),
+        leg("cc-4w-64o-nobatch-r50-quick", 4_000, 1_000, 24, 0.0),
+        leg("ccv-4w-64o-b8-r50-quick", 4_000, 1_000, 24, 0.0),
         // rf ∈ {1, 2}: the sharding-smoke axis (5% roaming reads keep
         // the routed-read path exercised in CI every run)
-        sharded(
-            leg(
-                "cc-4w-64o-b8-r50-rf1-quick",
-                Mode::Causal,
-                4,
-                64,
-                4_000,
-                b8,
-                0.5,
-                1_000,
-                24,
-                42,
-            ),
-            1,
-            0.05,
-        ),
-        sharded(
-            leg(
-                "cc-4w-64o-b8-r50-rf2-quick",
-                Mode::Causal,
-                4,
-                64,
-                4_000,
-                b8,
-                0.5,
-                1_000,
-                24,
-                42,
-            ),
-            2,
-            0.05,
-        ),
-        sharded(
-            leg(
-                "ccv-4w-64o-b8-r50-rf2-quick",
-                Mode::Convergent,
-                4,
-                64,
-                4_000,
-                b8,
-                0.5,
-                1_000,
-                24,
-                42,
-            ),
-            2,
-            0.05,
-        ),
+        leg("cc-4w-64o-b8-r50-rf1-quick", 4_000, 1_000, 24, 0.05),
+        leg("cc-4w-64o-b8-r50-rf2-quick", 4_000, 1_000, 24, 0.05),
+        leg("ccv-4w-64o-b8-r50-rf2-quick", 4_000, 1_000, 24, 0.05),
         // the scaling-smoke cell: 64 workers, rf 2, locality 8 — keeps
         // the large-cluster delivery path (wide interest masks,
         // locality placement, delta headers over many edges) under the
         // exact-count gate on every push
-        localized(
-            leg(
-                "cc-64w-256o-b8-r50-rf2-loc8-quick",
-                Mode::Causal,
-                64,
-                256,
-                1_000,
-                b8,
-                0.5,
-                500,
-                16,
-                42,
-            ),
-            2,
-            8,
-            0.05,
-        ),
+        leg("cc-64w-256o-b8-r50-rf2-loc8-quick", 1_000, 500, 16, 0.05),
     ];
     // the monitor-smoke cells: one per mode plus the rf-2 routed-read
     // flavour, gated on exact certified-op and escalation counts
@@ -549,78 +277,8 @@ fn quick_matrix() -> Vec<Leg> {
     )
 }
 
-/// The shared register workload this leg denotes (the generator
-/// itself lives in [`cbm_bench::run_workload`], where `cbm-node`
-/// reproduces it bit-for-bit in multi-process runs).
-fn workload_of(l: &Leg) -> Workload {
-    Workload::Register {
-        read_ratio: l.read_ratio,
-        remote_read_ratio: l.remote_read_ratio,
-    }
-}
-
-fn run_leg(l: &Leg, transport: Transport) -> StoreReport {
-    run_workload(&workload_of(l), &l.cfg, transport)
-}
-
-/// Print one leg's verdict diagnostics and dump its flight record when
-/// warranted; returns `true` iff the leg failed (a failed window, a
-/// drain divergence, or an uncertified monitor-enabled run). In
-/// multi-process runs the report arrives without its trace — the node
-/// already dumped it into the shared `trace_dir`.
-fn report_leg(l: &Leg, r: &StoreReport, trace: bool, trace_dir: &str) -> bool {
-    for w in r.windows.iter().filter(|w| w.result.is_err()) {
-        eprintln!(
-            "{}: FAIL window {} [{}]: {:?}",
-            l.name, w.window, w.criterion, w.result
-        );
-    }
-    if r.monitor.enabled {
-        eprintln!(
-            "{}: monitor {}/{} ops certified, {} escalation(s) ({} cleared, {} violations)",
-            l.name,
-            r.monitor.ops_checked,
-            r.total_ops,
-            r.monitor.escalations,
-            r.monitor.cleared,
-            r.monitor.violations
-        );
-        for rec in &r.monitor.records {
-            eprintln!(
-                "  ESCALATE worker {} epoch {} op {}: {} ({} events) -> {}",
-                rec.worker, rec.epoch, rec.at_op, rec.pattern, rec.events, rec.verdict
-            );
-        }
-    }
-    let uncertified = r.monitor.enabled && !r.monitor.certified(r.total_ops);
-    if uncertified {
-        eprintln!(
-            "{}: FAIL monitor: certification shortfall ({}/{} ops) or confirmed violation",
-            l.name, r.monitor.ops_checked, r.total_ops
-        );
-    }
-    // Flight-recorder dump: always under --trace; automatically on a
-    // failed verdict, a monitor escalation, or any repair/recovery the
-    // engine traced — escalated legs always leave a post-mortem record
-    // for CI to upload.
-    if let Some(rec) = &r.trace {
-        let wanted = trace
-            || !r.verified()
-            || r.monitor.escalations > 0
-            || r.chaos.repairs > 0
-            || !r.chaos.recoveries.is_empty();
-        if wanted {
-            match cbm_bench::write_trace(trace_dir, &l.name, rec) {
-                Ok((chrome, jsonl)) => eprintln!("  trace: {chrome} + {jsonl}"),
-                Err(e) => eprintln!("  trace: could not write to {trace_dir}: {e}"),
-            }
-        }
-    }
-    !r.verified() || uncertified
-}
-
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    let mut flags = Flags::from_env();
     let mut quick = false;
     let mut out_path: Option<String> = None;
     let mut summary_path: Option<String> = None;
@@ -632,179 +290,25 @@ fn main() -> ExitCode {
     let mut transport = Transport::Thread;
     let mut procs: usize = 0;
     let mut log_dir: Option<String> = None;
-    let mut custom = StoreConfig::default();
-    let mut custom_read_ratio = 0.5;
-    let mut custom_remote_read_ratio = 0.05;
-    let mut is_custom = false;
+    let mut custom = LegFlags::default();
 
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let next_usize = |flag: &str, it: &mut std::slice::Iter<String>| -> Option<usize> {
-            let v = it.next().and_then(|v| v.parse().ok());
-            if v.is_none() {
-                eprintln!("{flag} needs a number");
-            }
-            v
-        };
+    while let Some(a) = flags.next() {
         match a.as_str() {
             "--quick" => quick = true,
-            "--out" => match it.next() {
-                Some(p) => out_path = Some(p.clone()),
-                None => {
-                    eprintln!("--out needs a path");
-                    return ExitCode::from(2);
-                }
-            },
-            "--summary" => match it.next() {
-                Some(p) => summary_path = Some(p.clone()),
-                None => {
-                    eprintln!("--summary needs a path");
-                    return ExitCode::from(2);
-                }
-            },
-            "--baseline" => match it.next() {
-                Some(p) => baseline_path = Some(p.clone()),
-                None => {
-                    eprintln!("--baseline needs a path");
-                    return ExitCode::from(2);
-                }
-            },
-            "--gate" => match it.next() {
-                Some(p) => gate_path = Some(p.clone()),
-                None => {
-                    eprintln!("--gate needs a baseline path");
-                    return ExitCode::from(2);
-                }
-            },
+            "--out" => out_path = Some(flags.value(&a, "a path")),
+            "--summary" => summary_path = Some(flags.value(&a, "a path")),
+            "--baseline" => baseline_path = Some(flags.value(&a, "a path")),
+            "--gate" => gate_path = Some(flags.value(&a, "a baseline path")),
             "--trace" => trace = true,
             "--monitor" => force_monitor = true,
-            "--log-dir" => match it.next() {
-                Some(p) => log_dir = Some(p.clone()),
-                None => {
-                    eprintln!("--log-dir needs a path");
-                    return ExitCode::from(2);
-                }
-            },
-            "--transport" => match it.next().map(String::as_str).and_then(Transport::parse) {
-                Some(t) => transport = t,
-                None => {
-                    eprintln!("--transport needs thread or tcp");
-                    return ExitCode::from(2);
-                }
-            },
-            "--procs" => match next_usize("--procs", &mut it) {
-                Some(v) if v > 0 => procs = v,
-                _ => {
-                    eprintln!("--procs needs a positive node count");
-                    return ExitCode::from(2);
-                }
-            },
-            "--trace-dir" => match it.next() {
-                Some(p) => trace_dir = p.clone(),
-                None => {
-                    eprintln!("--trace-dir needs a path");
-                    return ExitCode::from(2);
-                }
-            },
-            "--rf" => match next_usize("--rf", &mut it) {
-                Some(v) => {
-                    custom.sharding = ShardConfig::rf(v);
-                    is_custom = true;
-                }
-                None => return ExitCode::from(2),
-            },
-            "--locality" => match next_usize("--locality", &mut it) {
-                Some(v) => {
-                    custom.sharding.locality = v;
-                    is_custom = true;
-                }
-                None => return ExitCode::from(2),
-            },
-            "--remote-read-ratio" => match it.next().and_then(|v| v.parse::<f64>().ok()) {
-                Some(v) => {
-                    custom_remote_read_ratio = v.clamp(0.0, 1.0);
-                    is_custom = true;
-                }
-                None => {
-                    eprintln!("--remote-read-ratio needs a number in [0,1]");
-                    return ExitCode::from(2);
-                }
-            },
-            "--workers" => match next_usize("--workers", &mut it) {
-                Some(v) => {
-                    custom.workers = v;
-                    is_custom = true;
-                }
-                None => return ExitCode::from(2),
-            },
-            "--objects" => match next_usize("--objects", &mut it) {
-                Some(v) => {
-                    custom.objects = v.max(1);
-                    is_custom = true;
-                }
-                None => return ExitCode::from(2),
-            },
-            "--ops" => match next_usize("--ops", &mut it) {
-                Some(v) => {
-                    custom.ops_per_worker = v;
-                    is_custom = true;
-                }
-                None => return ExitCode::from(2),
-            },
-            "--read-ratio" => match it.next().and_then(|v| v.parse::<f64>().ok()) {
-                Some(v) => {
-                    custom_read_ratio = v.clamp(0.0, 1.0);
-                    is_custom = true;
-                }
-                None => {
-                    eprintln!("--read-ratio needs a number in [0,1]");
-                    return ExitCode::from(2);
-                }
-            },
-            "--batch" => match it.next().map(String::as_str) {
-                Some("off") => {
-                    custom.batch = BatchPolicy::Off;
-                    is_custom = true;
-                }
-                Some(v) => match v.parse() {
-                    Ok(k) => {
-                        custom.batch = BatchPolicy::Every(k);
-                        is_custom = true;
-                    }
-                    Err(_) => {
-                        eprintln!("--batch needs a number or 'off'");
-                        return ExitCode::from(2);
-                    }
-                },
-                None => {
-                    eprintln!("--batch needs a number or 'off'");
-                    return ExitCode::from(2);
-                }
-            },
-            "--mode" => match it.next().map(String::as_str) {
-                Some("cc") => {
-                    custom.mode = Mode::Causal;
-                    is_custom = true;
-                }
-                Some("ccv") => {
-                    custom.mode = Mode::Convergent;
-                    is_custom = true;
-                }
-                _ => {
-                    eprintln!("--mode needs cc or ccv");
-                    return ExitCode::from(2);
-                }
-            },
-            "--seed" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(v) => {
-                    custom.seed = v;
-                    is_custom = true;
-                }
-                None => {
-                    eprintln!("--seed needs a number");
-                    return ExitCode::from(2);
-                }
-            },
+            "--log-dir" => log_dir = Some(flags.value(&a, "a path")),
+            "--transport" => transport = flags.parsed(&a, "thread or tcp", Transport::parse),
+            "--procs" => {
+                procs = flags.parsed(&a, "a positive node count", |v| {
+                    v.parse().ok().filter(|&n| n > 0)
+                })
+            }
+            "--trace-dir" => trace_dir = flags.value(&a, "a path"),
             "--help" | "-h" => {
                 println!(
                     "loadgen [--quick] [--out PATH] [--summary PATH] [--baseline PATH] \
@@ -815,24 +319,18 @@ fn main() -> ExitCode {
                 );
                 return ExitCode::SUCCESS;
             }
-            other => {
-                eprintln!("unknown flag '{other}'");
-                return ExitCode::from(2);
-            }
+            other if custom.parse(other, &mut flags) => {}
+            other => flags.unknown(other),
         }
     }
 
+    let is_custom = custom.given;
     let mut legs: Vec<Leg> = if is_custom {
-        custom.verify.every_ops = custom
-            .verify
-            .every_ops
-            .min(custom.ops_per_worker / 2)
-            .max(1);
+        let (cfg, workload) = custom.finish();
         vec![Leg {
             name: "custom".into(),
-            cfg: custom,
-            read_ratio: custom_read_ratio,
-            remote_read_ratio: custom_remote_read_ratio,
+            cfg,
+            workload,
         }]
     } else if quick {
         quick_matrix()
@@ -903,7 +401,7 @@ fn main() -> ExitCode {
             .map(|l| LegSpec {
                 name: l.name.clone(),
                 cfg: l.cfg.clone(),
-                workload: workload_of(l),
+                workload: l.workload.clone(),
                 trace,
                 trace_dir: trace_dir.clone(),
             })
@@ -936,7 +434,7 @@ fn main() -> ExitCode {
         let mut out: Vec<(Leg, StoreReport)> = Vec::new();
         for l in &legs {
             eprint!("{} [{}] ... ", l.name, transport.name());
-            let r = run_leg(l, transport);
+            let r = run_workload(&l.workload, &l.cfg, transport);
             eprintln!(
                 "{:.0} ops/s, p50 {} ns, p99 {} ns, {} msgs, mean batch {:.1}, \
                  {} windows ({} failed)",
@@ -953,35 +451,36 @@ fn main() -> ExitCode {
         out
     };
 
-    let mut failures = 0usize;
-    for (l, r) in &reports {
-        if report_leg(l, r, trace, &trace_dir) {
-            failures += 1;
-        }
-    }
+    let failures = reports
+        .iter()
+        .filter(|(l, r)| cbm_bench::cli::post_mortem(&l.name, r, trace, &trace_dir))
+        .count();
 
-    // default output mirrors the committed baseline the matrix
-    // corresponds to, so a `--quick` gate run can't clobber the full
-    // baseline
-    let out_path = out_path.unwrap_or_else(|| {
-        String::from(if quick {
+    // the fixed matrices default to the committed baseline they
+    // correspond to (so a `--quick` gate run can't clobber the full
+    // one); a custom leg writes a document only when asked to
+    let out_path = out_path.or_else(|| {
+        let default = if quick {
             "BENCH_throughput_quick.json"
         } else {
             "BENCH_throughput.json"
-        })
+        };
+        (!is_custom).then(|| default.to_string())
     });
-    let json = render_json(quick, is_custom, &reports);
-    if let Err(e) = std::fs::write(&out_path, &json) {
-        eprintln!("could not write {out_path}: {e}");
-        return ExitCode::FAILURE;
+    if let Some(out_path) = out_path {
+        let json = render_json(quick, is_custom, &reports);
+        if let Err(e) = std::fs::write(&out_path, &json) {
+            eprintln!("could not write {out_path}: {e}");
+            return ExitCode::FAILURE;
+        }
+        println!("wrote {out_path} ({} legs)", reports.len());
     }
-    println!("wrote {out_path} ({} legs)", reports.len());
 
     if let Some(path) = summary_path {
         let baseline = baseline_path
             .as_deref()
             .and_then(|p| std::fs::read_to_string(p).ok())
-            .map(|s| parse_baseline_msgs(&s))
+            .map(|s| parse_baseline_counts(&s))
             .unwrap_or_default();
         if let Err(e) = append_summary(&path, quick, &reports, &baseline) {
             eprintln!("could not write summary {path}: {e}");
@@ -1077,52 +576,25 @@ struct GateCounts {
 /// Extract `name -> GateCounts` from a committed baseline document
 /// (one field per line; see `cbm_bench::field_str`).
 fn parse_baseline_counts(json: &str) -> std::collections::HashMap<String, GateCounts> {
-    let mut out = std::collections::HashMap::new();
-    let mut current: Option<String> = None;
-    let mut acc = GateCounts::default();
-    let flush = |name: &mut Option<String>,
-                 acc: &mut GateCounts,
-                 out: &mut std::collections::HashMap<String, GateCounts>| {
-        if let Some(n) = name.take() {
-            out.insert(n, *acc);
-        }
-        *acc = GateCounts::default();
-    };
+    let mut legs: Vec<(String, GateCounts)> = Vec::new();
     for line in json.lines() {
         if let Some(name) = cbm_bench::field_str(line, "name") {
-            flush(&mut current, &mut acc, &mut out);
-            current = Some(name);
-        } else if let Some(v) = cbm_bench::field_u64(line, "msgs_sent") {
-            acc.msgs = Some(v);
-        } else if let Some(v) = cbm_bench::field_u64(line, "batches_sent") {
-            acc.batches = Some(v);
-        } else if let Some(v) = cbm_bench::field_u64(line, "payloads_sent") {
-            acc.payloads = Some(v);
-        } else if let Some(v) = cbm_bench::field_u64(line, "monitor_ops_checked") {
-            acc.mon_ops = Some(v);
-        } else if let Some(v) = cbm_bench::field_u64(line, "monitor_escalations") {
-            acc.mon_esc = Some(v);
-        }
-    }
-    flush(&mut current, &mut acc, &mut out);
-    out
-}
-
-/// Extract `name -> msgs_sent` from a committed baseline document
-/// (one field per line; see `cbm_bench::field_str`).
-fn parse_baseline_msgs(json: &str) -> std::collections::HashMap<String, u64> {
-    let mut out = std::collections::HashMap::new();
-    let mut current: Option<String> = None;
-    for line in json.lines() {
-        if let Some(name) = cbm_bench::field_str(line, "name") {
-            current = Some(name);
-        } else if let Some(v) = cbm_bench::field_u64(line, "msgs_sent") {
-            if let Some(name) = current.take() {
-                out.insert(name, v);
+            legs.push((name, GateCounts::default()));
+        } else if let Some((_, c)) = legs.last_mut() {
+            for (key, slot) in [
+                ("msgs_sent", &mut c.msgs),
+                ("batches_sent", &mut c.batches),
+                ("payloads_sent", &mut c.payloads),
+                ("monitor_ops_checked", &mut c.mon_ops),
+                ("monitor_escalations", &mut c.mon_esc),
+            ] {
+                if let Some(v) = cbm_bench::field_u64(line, key) {
+                    *slot = Some(v);
+                }
             }
         }
     }
-    out
+    legs.into_iter().collect()
 }
 
 /// Append a GitHub Actions job-summary markdown table.
@@ -1130,7 +602,7 @@ fn append_summary(
     path: &str,
     quick: bool,
     reports: &[(Leg, StoreReport)],
-    baseline: &std::collections::HashMap<String, u64>,
+    baseline: &std::collections::HashMap<String, GateCounts>,
 ) -> std::io::Result<()> {
     let rows: Vec<Vec<String>> = reports
         .iter()
@@ -1150,6 +622,7 @@ fn append_summary(
                 r.msgs_sent.to_string(),
                 baseline
                     .get(&l.name)
+                    .and_then(|c| c.msgs)
                     .map(|v| v.to_string())
                     .unwrap_or_else(|| "—".into()),
                 r.remote_reads.to_string(),
@@ -1283,119 +756,126 @@ fn append_summary(
     cbm_bench::append_summary_table(path, "Per-epoch activity", &columns, &epoch_rows)
 }
 
-/// Hand-rolled JSON (the workspace has no JSON crate;
-/// the explicit schema doubles as documentation).
+/// The throughput document (the workspace has no JSON crate; the
+/// explicit schema doubles as documentation).
 fn render_json(quick: bool, custom: bool, reports: &[(Leg, StoreReport)]) -> String {
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str("  \"schema\": \"cbm-throughput-v1\",\n");
-    s.push_str(&format!("  \"quick\": {quick},\n"));
-    s.push_str(&format!("  \"custom\": {custom},\n"));
-    // bytes_sent is informational, not deterministic: delta-encoded
-    // knowledge headers depend on delivery interleaving
-    s.push_str(
-        "  \"deterministic_columns\": [\"total_ops\", \"msgs_sent\", \
-         \"batches_sent\", \"payloads_sent\", \"mean_batch\", \"remote_reads\", \
-         \"windows\", \"monitor_ops_checked\", \"monitor_escalations\"],\n",
-    );
-    s.push_str("  \"legs\": [\n");
-    for (i, (l, r)) in reports.iter().enumerate() {
+    let mut d = JsonDoc::default();
+    d.field("schema", quote("cbm-throughput-v1"))
+        .field("quick", quick)
+        .field("custom", custom)
+        // bytes_sent is informational, not deterministic: delta-encoded
+        // knowledge headers depend on delivery interleaving
+        .field(
+            "deterministic_columns",
+            list(
+                [
+                    "total_ops",
+                    "msgs_sent",
+                    "batches_sent",
+                    "payloads_sent",
+                    "mean_batch",
+                    "remote_reads",
+                    "windows",
+                    "monitor_ops_checked",
+                    "monitor_escalations",
+                ]
+                .map(quote),
+            ),
+        )
+        .array("legs");
+    for (l, r) in reports {
+        let Workload::Register {
+            read_ratio,
+            remote_read_ratio,
+        } = l.workload
+        else {
+            unreachable!("loadgen legs run the register workload")
+        };
         let batch = match l.cfg.batch {
-            BatchPolicy::Off => "\"off\"".to_string(),
+            BatchPolicy::Off => quote("off"),
             BatchPolicy::Every(k) => k.to_string(),
         };
-        s.push_str("    {\n");
-        s.push_str(&format!("      \"name\": \"{}\",\n", l.name));
-        s.push_str(&format!(
-            "      \"mode\": \"{}\",\n",
-            l.cfg.mode.criterion()
-        ));
-        s.push_str(&format!("      \"workers\": {},\n", l.cfg.workers));
-        s.push_str(&format!("      \"objects\": {},\n", l.cfg.objects));
-        s.push_str(&format!(
-            "      \"ops_per_worker\": {},\n",
-            l.cfg.ops_per_worker
-        ));
-        s.push_str(&format!("      \"read_ratio\": {},\n", l.read_ratio));
-        s.push_str(&format!(
-            "      \"replication\": {},\n",
-            l.cfg.sharding.replication
-        ));
-        s.push_str(&format!(
-            "      \"locality\": {},\n",
-            l.cfg.sharding.locality
-        ));
-        s.push_str(&format!(
-            "      \"remote_read_ratio\": {},\n",
-            l.remote_read_ratio
-        ));
-        s.push_str(&format!("      \"batch\": {batch},\n"));
-        s.push_str(&format!("      \"seed\": {},\n", l.cfg.seed));
-        s.push_str(&format!("      \"total_ops\": {},\n", r.total_ops));
-        s.push_str(&format!("      \"wall_ms\": {},\n", r.wall_ns / 1_000_000));
-        s.push_str(&format!("      \"ops_per_sec\": {:.0},\n", r.ops_per_sec));
-        s.push_str(&format!("      \"p50_ns\": {},\n", r.latency.p50_ns));
-        s.push_str(&format!("      \"p99_ns\": {},\n", r.latency.p99_ns));
-        s.push_str(&format!("      \"max_ns\": {},\n", r.latency.max_ns));
-        s.push_str(&format!("      \"mean_ns\": {},\n", r.latency.mean_ns));
-        s.push_str(&format!("      \"msgs_sent\": {},\n", r.msgs_sent));
-        s.push_str(&format!("      \"bytes_sent\": {},\n", r.bytes_sent));
-        s.push_str(&format!("      \"batches_sent\": {},\n", r.batches_sent));
-        s.push_str(&format!("      \"payloads_sent\": {},\n", r.payloads_sent));
-        s.push_str(&format!("      \"mean_batch\": {:.2},\n", r.mean_batch));
-        s.push_str(&format!("      \"remote_reads\": {},\n", r.remote_reads));
-        s.push_str(&format!("      \"monitor\": {},\n", r.monitor.enabled));
-        s.push_str(&format!(
-            "      \"monitor_ops_checked\": {},\n",
-            r.monitor.ops_checked
-        ));
-        s.push_str(&format!(
-            "      \"monitor_escalations\": {},\n",
-            r.monitor.escalations
-        ));
-        s.push_str(&format!(
-            "      \"monitor_violations\": {},\n",
-            r.monitor.violations
-        ));
-        s.push_str(&format!(
-            "      \"monitor_certified\": {},\n",
-            r.monitor.enabled && r.monitor.certified(r.total_ops)
-        ));
-        s.push_str(&format!(
-            "      \"drains_converged\": {},\n",
-            r.drains_converged
-        ));
-        s.push_str(&format!(
-            "      \"windows_failed\": {},\n",
-            r.windows_failed
-        ));
-        s.push_str("      \"windows\": [\n");
-        for (j, w) in r.windows.iter().enumerate() {
+        d.object()
+            .field("name", quote(&l.name))
+            .field("mode", quote(l.cfg.mode.criterion()))
+            .field("workers", l.cfg.workers)
+            .field("objects", l.cfg.objects)
+            .field("ops_per_worker", l.cfg.ops_per_worker)
+            .field("read_ratio", read_ratio)
+            .field("replication", l.cfg.sharding.replication)
+            .field("locality", l.cfg.sharding.locality)
+            .field("remote_read_ratio", remote_read_ratio)
+            .field("batch", batch)
+            .field("seed", l.cfg.seed)
+            .field("total_ops", r.total_ops)
+            .field("wall_ms", r.wall_ns / 1_000_000)
+            .field("ops_per_sec", format!("{:.0}", r.ops_per_sec))
+            .field("p50_ns", r.latency.p50_ns)
+            .field("p99_ns", r.latency.p99_ns)
+            .field("max_ns", r.latency.max_ns)
+            .field("mean_ns", r.latency.mean_ns)
+            .field("msgs_sent", r.msgs_sent)
+            .field("bytes_sent", r.bytes_sent)
+            .field("batches_sent", r.batches_sent)
+            .field("payloads_sent", r.payloads_sent)
+            .field("mean_batch", format!("{:.2}", r.mean_batch))
+            .field("remote_reads", r.remote_reads)
+            .field("monitor", r.monitor.enabled)
+            .field("monitor_ops_checked", r.monitor.ops_checked)
+            .field("monitor_escalations", r.monitor.escalations)
+            .field("monitor_violations", r.monitor.violations)
+            .field(
+                "monitor_certified",
+                r.monitor.enabled && r.monitor.certified(r.total_ops),
+            )
+            .field("drains_converged", r.drains_converged)
+            .field("windows_failed", r.windows_failed)
+            .array("windows");
+        for w in &r.windows {
             let verdict = match &w.result {
-                Ok(()) => "\"ok\"".to_string(),
-                Err(e) => format!("\"{}\"", e.replace('"', "'")),
+                Ok(()) => quote("ok"),
+                Err(e) => quote(e),
             };
             let shard = w
                 .shard
                 .map(|s| s.to_string())
                 .unwrap_or_else(|| "null".into());
-            s.push_str(&format!(
-                "        {{\"window\": {}, \"shard\": {}, \"criterion\": \"{}\", \"events\": {}, \"verdict\": {}}}{}\n",
-                w.window,
-                shard,
-                w.criterion,
-                w.events,
-                verdict,
-                if j + 1 < r.windows.len() { "," } else { "" }
-            ));
+            d.inline(&[
+                ("window", &w.window),
+                ("shard", &shard),
+                ("criterion", &quote(w.criterion)),
+                ("events", &w.events),
+                ("verdict", &verdict),
+            ]);
         }
-        s.push_str("      ]\n");
-        s.push_str(&format!(
-            "    }}{}\n",
-            if i + 1 < reports.len() { "," } else { "" }
-        ));
+        d.end().end();
     }
-    s.push_str("  ]\n");
-    s.push_str("}\n");
-    s
+    d.finish()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn leg_names_spell_out_the_config() {
+        let l = leg("ccv-8w-256o-nobatch-r90-rf2-loc4-quick", 100, 50, 16, 0.01);
+        let c = &l.cfg;
+        assert_eq!((c.mode, c.workers, c.objects), (Mode::Convergent, 8, 256));
+        assert_eq!(c.batch, BatchPolicy::Off);
+        assert_eq!((c.sharding.replication, c.sharding.locality), (2, 4));
+        assert_eq!(
+            (c.ops_per_worker, c.verify.every_ops, c.verify.window_ops),
+            (100, 50, 16)
+        );
+        assert_eq!(
+            l.workload,
+            Workload::Register {
+                read_ratio: 0.9,
+                remote_read_ratio: 0.01
+            }
+        );
+        // every committed leg name parses
+        assert_eq!(full_matrix().len() + quick_matrix().len(), 26);
+    }
 }

@@ -41,9 +41,14 @@
 //! the committed JSON; the observability acceptance bar (tracing-on
 //! within 10% of tracing-off) is checked by eye on this line.
 
-use cbm_bench::{field_str, field_u64, recorded_window_adt, recorded_window_history};
+use cbm_bench::cli::{quote, Flags, JsonDoc};
+use cbm_bench::{
+    field_str, field_u64, recorded_window_adt, recorded_window_history, run_workload, Transport,
+    Workload,
+};
 use cbm_check::{check, Budget, Criterion, Verdict};
 use cbm_sim::{registry, run_scenario};
+use cbm_store::{BatchPolicy, StoreConfig, VerifyConfig};
 use std::process::ExitCode;
 use std::time::Instant;
 
@@ -65,44 +70,19 @@ struct ScenarioCell {
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    let mut flags = Flags::from_env();
     let mut quick = false;
     let mut out_path = String::from("BENCH_checker.json");
     let mut iters: u32 = 0;
     let mut gate_path: Option<String> = None;
     let mut summary_path: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
+    while let Some(a) = flags.next() {
         match a.as_str() {
             "--quick" => quick = true,
-            "--out" => match it.next() {
-                Some(p) => out_path = p.clone(),
-                None => {
-                    eprintln!("--out needs a path");
-                    return ExitCode::from(2);
-                }
-            },
-            "--gate" => match it.next() {
-                Some(p) => gate_path = Some(p.clone()),
-                None => {
-                    eprintln!("--gate needs a path");
-                    return ExitCode::from(2);
-                }
-            },
-            "--summary" => match it.next() {
-                Some(p) => summary_path = Some(p.clone()),
-                None => {
-                    eprintln!("--summary needs a path");
-                    return ExitCode::from(2);
-                }
-            },
-            "--iters" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) => iters = n,
-                None => {
-                    eprintln!("--iters needs a number");
-                    return ExitCode::from(2);
-                }
-            },
+            "--out" => out_path = flags.value(&a, "a path"),
+            "--gate" => gate_path = Some(flags.value(&a, "a path")),
+            "--summary" => summary_path = Some(flags.value(&a, "a path")),
+            "--iters" => iters = flags.value(&a, "a number"),
             "--help" | "-h" => {
                 println!(
                     "perf_baseline [--quick] [--out PATH] [--iters N] [--gate PATH] \
@@ -110,10 +90,7 @@ fn main() -> ExitCode {
                 );
                 return ExitCode::SUCCESS;
             }
-            other => {
-                eprintln!("unknown flag '{other}'");
-                return ExitCode::from(2);
-            }
+            other => flags.unknown(other),
         }
     }
     if iters == 0 {
@@ -295,45 +272,28 @@ fn main() -> ExitCode {
 /// `(config, seed)` both times — tracing must not change any
 /// deterministic column, only (bounded) wall time.
 fn tracing_overhead(quick: bool) -> (f64, f64) {
-    use cbm_adt::register::{RegInput, Register};
-    use cbm_adt::space::SpaceInput;
-    use cbm_store::{
-        BatchPolicy, DurableConfig, Mode, ObsConfig, ShardConfig, StoreConfig, VerifyConfig,
-    };
-    use rand::Rng;
-
     let ops = if quick { 4_000 } else { 40_000 };
     let mut cfg = StoreConfig {
-        workers: 4,
         objects: 64,
         ops_per_worker: ops,
-        mode: Mode::Causal,
         batch: BatchPolicy::Every(8),
         verify: VerifyConfig {
             every_ops: ops / 4,
             window_ops: 24,
-            sample_every: 1,
-            monitor: false,
+            ..VerifyConfig::default()
         },
         seed: 42,
-        sharding: ShardConfig::full(),
-        chaos: cbm_net::fault::FaultPlan::new(),
-        obs: ObsConfig::default(),
-        durable: DurableConfig::default(),
+        ..StoreConfig::default()
     };
-    let gen = |_: usize, _: u64, rng: &mut rand::rngs::StdRng| {
-        let obj = rng.gen_range(0u32..64);
-        if rng.gen_bool(0.5) {
-            SpaceInput::new(obj, RegInput::Read)
-        } else {
-            SpaceInput::new(obj, RegInput::Write(rng.gen_range(1u64..1_000_000)))
-        }
+    let workload = Workload::Register {
+        read_ratio: 0.5,
+        remote_read_ratio: 0.0,
     };
     // best-of-3 per side: the legs are short, so single runs are too
     // noisy to read a ~5% effect from
-    let best = |cfg: &cbm_store::StoreConfig| {
+    let best = |cfg: &StoreConfig| {
         (0..3)
-            .map(|_| cbm_store::run(&Register, cfg, gen).ops_per_sec)
+            .map(|_| run_workload(&workload, cfg, Transport::Thread).ops_per_sec)
             .fold(0.0f64, f64::max)
     };
     let off = best(&cfg);
@@ -425,43 +385,39 @@ fn parse_checker_nodes(json: &str) -> std::collections::HashMap<(String, usize),
     out
 }
 
-/// Hand-rolled JSON writer: the workspace has no JSON crate, and the
-/// schema is small enough that explicit rendering doubles as its
-/// documentation.
+/// The checker document (the workspace has no JSON crate; the schema
+/// is small enough that explicit rendering doubles as its
+/// documentation). One checker cell per line, which the gate's
+/// scanner relies on.
 fn render_json(quick: bool, iters: u32, cells: &[CheckerCell], scens: &[ScenarioCell]) -> String {
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str("  \"schema\": \"cbm-perf-baseline-v1\",\n");
-    s.push_str(&format!("  \"quick\": {quick},\n"));
-    s.push_str(&format!("  \"iters\": {iters},\n"));
-    s.push_str("  \"workload\": \"recorded_window_history(ops, seed=7), 2 procs, W2^1\",\n");
-    s.push_str("  \"checker\": [\n");
-    for (i, c) in cells.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"criterion\": \"{}\", \"ops_per_proc\": {}, \"events\": {}, \"verdict\": \"{}\", \"nodes\": {}, \"best_ns\": {}, \"mean_ns\": {}}}{}\n",
-            c.criterion,
-            c.ops_per_proc,
-            c.events,
-            c.verdict,
-            c.nodes,
-            c.best_ns,
-            c.mean_ns,
-            if i + 1 < cells.len() { "," } else { "" }
-        ));
+    let mut d = JsonDoc::default();
+    d.field("schema", quote("cbm-perf-baseline-v1"))
+        .field("quick", quick)
+        .field("iters", iters)
+        .field(
+            "workload",
+            quote("recorded_window_history(ops, seed=7), 2 procs, W2^1"),
+        )
+        .array("checker");
+    for c in cells {
+        d.inline(&[
+            ("criterion", &quote(c.criterion)),
+            ("ops_per_proc", &c.ops_per_proc),
+            ("events", &c.events),
+            ("verdict", &quote(&c.verdict.to_string())),
+            ("nodes", &c.nodes),
+            ("best_ns", &c.best_ns),
+            ("mean_ns", &c.mean_ns),
+        ]);
     }
-    s.push_str("  ],\n");
-    s.push_str("  \"scenarios\": [\n");
-    for (i, c) in scens.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"scenario\": \"{}\", \"seeds\": {}, \"failures\": {}, \"total_ms\": {}}}{}\n",
-            c.scenario,
-            c.seeds,
-            c.failures,
-            c.total_ms,
-            if i + 1 < scens.len() { "," } else { "" }
-        ));
+    d.end().array("scenarios");
+    for c in scens {
+        d.inline(&[
+            ("scenario", &quote(&c.scenario)),
+            ("seeds", &c.seeds),
+            ("failures", &c.failures),
+            ("total_ms", &c.total_ms),
+        ]);
     }
-    s.push_str("  ]\n");
-    s.push_str("}\n");
-    s
+    d.finish()
 }

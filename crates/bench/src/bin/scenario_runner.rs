@@ -20,6 +20,7 @@
 //! Exit status is non-zero if any run or sweep failed, so the binary
 //! can gate CI jobs.
 
+use cbm_bench::cli::Flags;
 use cbm_bench::render_table;
 use cbm_sim::corpus::CorpusEntry;
 use cbm_sim::{corpus, explore, registry, run_scenario, Scenario, ScenarioOutcome};
@@ -28,14 +29,14 @@ use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut words = args.iter().map(String::as_str);
-    match words.next() {
-        None | Some("run") => cmd_run(&args),
+    let rest = || Flags::new(args.iter().skip(1).cloned().collect(), "");
+    match args.first().map(String::as_str) {
+        None | Some("run") => cmd_run(rest()),
         Some("list") => {
             cmd_list();
             ExitCode::SUCCESS
         }
-        Some("explore") => cmd_explore(&args),
+        Some("explore") => cmd_explore(rest()),
         Some("help") | Some("--help") | Some("-h") => {
             print_help();
             ExitCode::SUCCESS
@@ -89,26 +90,14 @@ fn cmd_list() {
     );
 }
 
-fn cmd_run(args: &[String]) -> ExitCode {
+fn cmd_run(mut flags: Flags) -> ExitCode {
     let mut seed = 0u64;
     let mut name: Option<String> = None;
-    let mut it = args
-        .iter()
-        .skip(if args.first().map(String::as_str) == Some("run") {
-            1
-        } else {
-            0
-        });
-    while let Some(a) = it.next() {
+    while let Some(a) = flags.next() {
         match a.as_str() {
-            "--seed" => {
-                seed = parse_or_die(it.next(), "--seed needs a value");
-            }
-            other if !other.starts_with('-') => name = Some(other.to_string()),
-            other => {
-                eprintln!("unknown flag '{other}'");
-                return ExitCode::FAILURE;
-            }
+            "--seed" => seed = flags.value(&a, "a value"),
+            other if !other.starts_with('-') => name = Some(a),
+            other => flags.unknown(other),
         }
     }
 
@@ -168,23 +157,22 @@ fn outcome_row(o: &ScenarioOutcome) -> Vec<String> {
     ]
 }
 
-fn cmd_explore(args: &[String]) -> ExitCode {
+fn cmd_explore(mut flags: Flags) -> ExitCode {
     let mut name: Option<String> = None;
     let mut seeds = 0u64..16;
     let mut record: Option<PathBuf> = None;
     let mut threads = 1usize;
-    let mut it = args.iter().skip(1);
-    while let Some(a) = it.next() {
+    while let Some(a) = flags.next() {
         match a.as_str() {
             "--threads" => {
-                threads = parse_or_die(it.next(), "--threads needs a count");
+                threads = flags.value(&a, "a count");
                 if threads == 0 {
                     eprintln!("--threads must be at least 1");
                     return ExitCode::FAILURE;
                 }
             }
             "--seeds" => {
-                let spec: String = parse_or_die(it.next(), "--seeds needs LO..HI");
+                let spec: String = flags.value(&a, "LO..HI");
                 let Some((lo, hi)) = spec.split_once("..") else {
                     eprintln!("--seeds wants LO..HI, got '{spec}'");
                     return ExitCode::FAILURE;
@@ -199,17 +187,9 @@ fn cmd_explore(args: &[String]) -> ExitCode {
                 }
                 seeds = lo..hi;
             }
-            "--record" => {
-                record = Some(PathBuf::from(parse_or_die::<String>(
-                    it.next(),
-                    "--record needs a path",
-                )));
-            }
-            other if !other.starts_with('-') => name = Some(other.to_string()),
-            other => {
-                eprintln!("unknown flag '{other}'");
-                return ExitCode::FAILURE;
-            }
+            "--record" => record = Some(flags.value(&a, "a path")),
+            other if !other.starts_with('-') => name = Some(a),
+            other => flags.unknown(other),
         }
     }
 
@@ -292,15 +272,5 @@ fn cmd_explore(args: &[String]) -> ExitCode {
             seeds.start, seeds.end
         );
         ExitCode::SUCCESS
-    }
-}
-
-fn parse_or_die<T: std::str::FromStr>(v: Option<&String>, msg: &str) -> T {
-    match v.and_then(|s| s.parse().ok()) {
-        Some(t) => t,
-        None => {
-            eprintln!("{msg}");
-            std::process::exit(2);
-        }
     }
 }

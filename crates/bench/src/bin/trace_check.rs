@@ -30,6 +30,7 @@
 //! `obs-smoke` job runs this over the artifacts `loadgen --quick
 //! --trace` produced.
 
+use cbm_bench::cli::Flags;
 use cbm_bench::{field_str, field_u64};
 use cbm_obs::export::TRACE_SCHEMA;
 use cbm_obs::SpanKind;
@@ -212,28 +213,18 @@ fn check_chrome(path: &str, text: &str) -> Vec<String> {
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    let mut flags = Flags::from_env();
     let mut files: Vec<String> = Vec::new();
     let mut schema_path: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
+    while let Some(a) = flags.next() {
         match a.as_str() {
-            "--schema" => match it.next() {
-                Some(p) => schema_path = Some(p.clone()),
-                None => {
-                    eprintln!("--schema needs a path");
-                    return ExitCode::from(2);
-                }
-            },
+            "--schema" => schema_path = Some(flags.value(&a, "a path")),
             "--help" | "-h" => {
                 println!("trace_check [--schema PATH] FILE...");
                 return ExitCode::SUCCESS;
             }
-            other if other.starts_with("--") => {
-                eprintln!("unknown flag '{other}'");
-                return ExitCode::from(2);
-            }
-            f => files.push(f.to_string()),
+            other if other.starts_with("--") => flags.unknown(other),
+            _ => files.push(a),
         }
     }
     if files.is_empty() {

@@ -73,11 +73,6 @@ pub struct CausalBroadcast<P> {
     /// bounded by the number of genuinely out-of-order envelopes —
     /// independent of how many duplicates the transport injects.
     seen: std::collections::HashSet<(NodeId, u64)>,
-    /// Per-sender cardinality of `seen`, maintained on insert/prune so
-    /// [`received_from`](Self::received_from) is O(1) instead of a scan
-    /// over the whole suppression set (gap detection runs it per peer
-    /// per drain — the scan was O(peers · pending) per rendezvous).
-    pending_from: Vec<u64>,
 }
 
 impl<P: Clone> CausalBroadcast<P> {
@@ -88,7 +83,6 @@ impl<P: Clone> CausalBroadcast<P> {
             delivered: VectorClock::new(n),
             buffer: Vec::new(),
             seen: std::collections::HashSet::new(),
-            pending_from: vec![0; n],
         }
     }
 
@@ -118,7 +112,6 @@ impl<P: Clone> CausalBroadcast<P> {
         // anything already delivered (stale), the `seen` set rejects
         // duplicates of envelopes still waiting in the buffer
         if !self.stale(&msg) && self.seen.insert((msg.sender, msg.vc.get(msg.sender))) {
-            self.pending_from[msg.sender] += 1;
             self.buffer.push(msg);
         }
         let mut out = Vec::new();
@@ -136,14 +129,7 @@ impl<P: Clone> CausalBroadcast<P> {
             // check, so keeping it would only grow the set without
             // bound under a duplicate storm
             let delivered = &self.delivered;
-            let pending_from = &mut self.pending_from;
-            self.seen.retain(|&(s, q)| {
-                let keep = q > delivered.get(s);
-                if !keep {
-                    pending_from[s] -= 1;
-                }
-                keep
-            });
+            self.seen.retain(|&(s, q)| q > delivered.get(s));
             // `seen` guarantees the buffer holds no duplicates of the
             // just-delivered envelopes, but keep the invariant scan as
             // a cheap safety net (it is O(buffer) only on delivery)
@@ -158,37 +144,6 @@ impl<P: Clone> CausalBroadcast<P> {
     /// of out-of-order envelopes awaiting delivery; see `on_receive`).
     pub fn suppression_len(&self) -> usize {
         self.seen.len()
-    }
-
-    /// Distinct messages **received** from `sender`: delivered plus
-    /// buffered-out-of-order. Unlike the delivered clock, this count
-    /// does not depend on the vector-clock stamps of concurrent
-    /// messages (a message blocked behind a lost dependency still
-    /// counts), which makes it the right gap detector for lossy
-    /// transports: `received_from(q) < q's published send count` iff
-    /// something from `q` was physically lost. O(1): the per-sender
-    /// buffered count is maintained on insert and prune.
-    pub fn received_from(&self, sender: NodeId) -> u64 {
-        self.delivered.get(sender) + self.pending_from[sender]
-    }
-
-    /// Reset this endpoint to a delivery frontier (crash recovery).
-    ///
-    /// A recovering replica installs a snapshot taken at a consistent
-    /// cut plus the cut's delivery frontier; everything below the
-    /// frontier is folded into the snapshot, everything above it will
-    /// be re-offered (replayed or freshly received) and must deliver
-    /// normally. The component for `me` must equal the number of
-    /// messages this endpoint has broadcast, so future broadcasts keep
-    /// their sequence numbers contiguous.
-    pub fn resync(&mut self, frontier: &[u64]) {
-        assert_eq!(frontier.len(), self.delivered.len(), "frontier arity");
-        for (i, &v) in frontier.iter().enumerate() {
-            self.delivered.set(i, v);
-        }
-        self.buffer.clear();
-        self.seen.clear();
-        self.pending_from.fill(0);
     }
 
     /// Already delivered (or sent by us)?
@@ -545,9 +500,13 @@ impl<P: Clone> InterestCausalBroadcast<P> {
     }
 
     /// Distinct envelopes **received** on the `q → me` edge: delivered
-    /// plus buffered out-of-order — the per-edge gap detector for lossy
-    /// transports (see [`CausalBroadcast::received_from`]). O(1): the
-    /// per-edge buffered count is maintained on insert and prune.
+    /// plus buffered out-of-order. Unlike the delivered counts, this
+    /// does not depend on the causal stamps of concurrent envelopes (an
+    /// envelope blocked behind a lost dependency still counts), which
+    /// makes it the per-edge gap detector for lossy transports:
+    /// `received_from(q)` below `q`'s published send count on the edge
+    /// iff something from `q` was physically lost. O(1): the per-edge
+    /// buffered count is maintained on insert and prune.
     pub fn received_from(&self, q: NodeId) -> u64 {
         self.delivered[q] + self.pending_from[q]
     }
@@ -1049,28 +1008,6 @@ mod tests {
             assert!(p1.on_receive(m.clone()).is_empty());
         }
         assert_eq!(p1.suppression_len(), 0);
-    }
-
-    #[test]
-    fn resync_installs_frontier_and_clears_state() {
-        let mut p0 = CausalBroadcast::<u32>::new(0, 3);
-        let mut p2 = CausalBroadcast::<u32>::new(2, 3);
-        let a = p0.broadcast(1);
-        let b = p0.broadcast(2);
-        let c = p0.broadcast(3);
-        // p2 buffers b out of order, then "crashes" and resyncs to a
-        // frontier that already covers a and b
-        assert!(p2.on_receive(b).is_empty());
-        assert_eq!(p2.buffered(), 1);
-        p2.resync(&[2, 0, 0]);
-        assert_eq!(p2.buffered(), 0);
-        assert_eq!(p2.suppression_len(), 0);
-        // below-frontier envelopes are stale; the next one delivers
-        assert!(p2.on_receive(a).is_empty());
-        let out = p2.on_receive(c);
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].payload, 3);
-        assert_eq!(p2.delivered_clock().get(0), 3);
     }
 
     /// The batching multicast under a full mask (full replication, the

@@ -368,7 +368,6 @@ impl Wire for DurableConfig {
     fn put(&self, out: &mut Vec<u8>) {
         self.log_dir.put(out);
         self.snapshot_every.put(out);
-        self.recover_from_disk.put(out);
         self.resume.put(out);
         self.halt_at_boundary.put(out);
     }
@@ -376,7 +375,6 @@ impl Wire for DurableConfig {
         Some(DurableConfig {
             log_dir: Option::get(buf, pos)?,
             snapshot_every: u64::get(buf, pos)?,
-            recover_from_disk: bool::get(buf, pos)?,
             resume: bool::get(buf, pos)?,
             halt_at_boundary: u64::get(buf, pos)?,
         })
@@ -836,7 +834,6 @@ mod tests {
             .push(100, cbm_net::fault::Fault::DropAll { prob: 0.01 });
         cfg.obs.trace = true;
         cfg.durable.log_dir = Some("/tmp/cbm-logs".into());
-        cfg.durable.recover_from_disk = true;
         cfg.durable.halt_at_boundary = 3;
         let back: StoreConfig = from_bytes(&to_bytes(&cfg)).expect("decodes");
         assert_eq!(format!("{cfg:?}"), format!("{back:?}"));

@@ -211,19 +211,18 @@ impl Default for ObsConfig {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DurableConfig {
     /// Directory of the per-worker epoch logs (`worker-{id}.log` /
-    /// `worker-{id}.snap`). `None` disables durability entirely.
+    /// `worker-{id}.snap`). `None` disables durability entirely. With
+    /// a log, crash recovery restarts from **disk**: a recovering
+    /// worker discards its in-memory replica, replays its own snapshot
+    /// and log tail to the crash cut, and fetches only the per-shard
+    /// op delta past that cut from its co-replica helpers (falling
+    /// back to the full state transfer when its disk is torn or
+    /// stale).
     pub log_dir: Option<String>,
     /// Write a compacted snapshot (and truncate the log prefix) every
     /// `snapshot_every` boundary seals (`0` = never snapshot; the log
     /// then grows for the whole run).
     pub snapshot_every: u64,
-    /// Crash recovery restarts from **disk**: a recovering worker
-    /// discards its in-memory replica, replays its own snapshot + log
-    /// tail to the crash cut, and fetches only the per-shard op delta
-    /// past that cut from its co-replica helpers (falling back to the
-    /// full state transfer when its disk is torn or stale). Off, the
-    /// pre-durability full-transfer path runs unchanged.
-    pub recover_from_disk: bool,
     /// Cold-start: recover the whole fleet from disk at startup and
     /// resume each worker's op script where its last sealed boundary
     /// left it. Requires a fault-free plan; invalid or disagreeing
@@ -248,7 +247,6 @@ impl Default for DurableConfig {
         DurableConfig {
             log_dir: None,
             snapshot_every: 4,
-            recover_from_disk: false,
             resume: false,
             halt_at_boundary: 0,
         }

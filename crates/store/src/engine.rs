@@ -729,7 +729,8 @@ struct Worker<'a, T: Adt, E> {
     /// The per-run log directory (recovery replays from it).
     dlog_dir: Option<PathBuf>,
     /// In-run crash recovery goes through the disk ladder (own log
-    /// replay + co-replica delta fetch) instead of full state transfer.
+    /// replay + co-replica delta fetch) instead of full state transfer
+    /// — exactly when the epoch log is on.
     disk_recovery: bool,
     /// Active retention buffers: one per crash span this worker is an
     /// elected delta helper for.
@@ -866,7 +867,7 @@ where
             repaired_batches: 0,
             discarded: 0,
             recoveries: Vec::new(),
-            disk_recovery: dlog.is_some() && cfg.durable.recover_from_disk,
+            disk_recovery: dlog.is_some(),
             dlog,
             dlog_dir,
             retain: Vec::new(),

@@ -52,7 +52,6 @@ fn durable_cfg(dir: &Path, snapshot_every: u64) -> DurableConfig {
     DurableConfig {
         log_dir: Some(dir.to_string_lossy().into_owned()),
         snapshot_every,
-        recover_from_disk: true,
         resume: false,
         halt_at_boundary: 0,
     }
