@@ -29,14 +29,6 @@ impl<I, O> Sym<I, O> {
         }
     }
 
-    /// The output part, if visible.
-    pub fn visible_output(&self) -> Option<&O> {
-        match self {
-            Sym::Op(_, o) => Some(o),
-            Sym::Hidden(_) => None,
-        }
-    }
-
     /// Hide the output of this symbol (the paper's projection on events
     /// outside `E″`).
     pub fn hide(self) -> Sym<I, O> {

@@ -2,7 +2,7 @@
 //! replication traffic on a real loopback TCP mesh.
 //!
 //! ```text
-//! cbm-node serve --control HOST:PORT --id N [--trace-dir DIR]
+//! cbm-node serve --control HOST:PORT --id N
 //! cbm-node run [--workers N] [--objects N] [--ops N] [--mode cc|ccv]
 //!              [--batch N|off] [--seed S] [--rf N] [--locality N]
 //!              [--read-ratio R] [--remote-read-ratio R]
@@ -54,7 +54,7 @@ fn main() -> ExitCode {
 
 fn print_help() {
     println!(
-        "cbm-node serve --control HOST:PORT --id N [--trace-dir DIR]\n\
+        "cbm-node serve --control HOST:PORT --id N\n\
          cbm-node run [--workers N] [--objects N] [--ops N] [--mode cc|ccv] \
          [--batch N|off] [--seed S] [--rf N] [--locality N] [--read-ratio R] \
          [--remote-read-ratio R] [--workload register|counter] [--profile NAME] [--monitor]"

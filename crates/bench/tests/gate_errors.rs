@@ -163,3 +163,43 @@ fn chaos_sweep_removes_its_scratch_logs() {
         .collect();
     assert!(left.is_empty(), "scratch logs left behind: {left:?}");
 }
+
+/// Every flag `cbm-node --help` lists for `serve` is one `serve`
+/// accepts: pointed at an unreachable driver, it fails to connect
+/// (exit 1) instead of rejecting the flag (exit 2).
+#[test]
+fn serve_accepts_every_flag_its_help_lists() {
+    let exe = env!("CARGO_BIN_EXE_cbm-node");
+    let dir = fresh_dir("serve-help");
+    let help = run_in(exe, &["--help"], &dir);
+    let help = String::from_utf8_lossy(&help.stdout).into_owned();
+    let line = help
+        .lines()
+        .find(|l| l.starts_with("cbm-node serve"))
+        .expect("the help lists serve");
+    let words: Vec<&str> = line
+        .split_whitespace()
+        .map(|w| w.trim_matches(|c| c == '[' || c == ']'))
+        .collect();
+    let unreachable = "127.0.0.1:1";
+    let flags: Vec<(&str, &str)> = words
+        .windows(2)
+        .filter(|w| w[0].starts_with("--"))
+        .map(|w| match w[1] {
+            "HOST:PORT" => (w[0], unreachable),
+            "N" => (w[0], "0"),
+            _ => (w[0], "out"),
+        })
+        .collect();
+    assert!(flags.iter().any(|(f, _)| *f == "--control"), "{line}");
+    for (flag, value) in flags {
+        let out = run_in(exe, &["serve", "--control", unreachable, flag, value], &dir);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(
+            out.status.code(),
+            Some(1),
+            "serve {flag} {value}: listed in --help, so it must parse: {stderr}"
+        );
+        assert!(stderr.contains("cannot reach driver"), "{stderr}");
+    }
+}

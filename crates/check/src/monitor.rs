@@ -16,18 +16,21 @@
 //! shadow state, and certifies the replica's observable outputs
 //! continuously.
 //!
-//! Two monitors mirror the two replication disciplines of the
-//! Perrin/Mostéfaoui/Jard hierarchy:
+//! One [`Monitor`] type serves both replication disciplines of the
+//! Perrin/Mostéfaoui/Jard hierarchy, chosen by its [`Discipline`]:
 //!
-//! * [`CcMonitor`] — for delivery-order replicas (the Fig. 4
+//! * [`Discipline::Cc`] — for delivery-order replicas (the Fig. 4
 //!   discipline, verified criterion **CC**, Def. 9). Shadow state is
 //!   the fold of applied updates in delivery order.
-//! * [`CcvMonitor`] — layers the arbitration/convergence check on top
-//!   (the Fig. 5 discipline, criterion **CCv**, Def. 12). Shadow
+//! * [`Discipline::Ccv`] — layers the arbitration/convergence check on
+//!   top (the Fig. 5 discipline, criterion **CCv**, Def. 12). Shadow
 //!   state is the fold of applied updates in Lamport-timestamp
 //!   arbitration order, maintained as a sorted per-object log exactly
 //!   like the replica's own arbitration tables, but derived
 //!   *independently* from the delivered stream.
+//!
+//! [`CcMonitor`] and [`CcvMonitor`] are the same monitor with the
+//! discipline fixed.
 //!
 //! ## Bad patterns and suspicion
 //!
@@ -314,9 +317,13 @@ impl<T: Adt> Ring<T> {
     }
 }
 
+/// The replica discipline a [`Monitor`] certifies, which fixes its
+/// shadow fold order and its bad-pattern family.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Discipline {
+pub enum Discipline {
+    /// Delivery order (Fig. 4), criterion **CC**.
     Cc,
+    /// Lamport-stamp arbitration order (Fig. 5), criterion **CCv**.
     Ccv,
 }
 
@@ -358,9 +365,12 @@ impl<T: Adt> Adt for Seeded<'_, T> {
     }
 }
 
-/// The shared monitor core (see [`CcMonitor`] / [`CcvMonitor`]).
+/// Streaming bad-pattern monitor for one replica: shadow state folds
+/// applied updates in its [`Discipline`]'s order, query outputs are
+/// certified against it in O(1), and suspicions escalate to the exact
+/// checkers (see the [module docs](self)).
 #[derive(Debug, Clone)]
-struct Core<T: Adt> {
+pub struct Monitor<T: Adt> {
     adt: T,
     discipline: Discipline,
     me: usize,
@@ -391,8 +401,10 @@ pub const DEFAULT_RING_CAP: usize = 12;
 /// Default bound on escalation windows handed to the DFS kernel.
 pub const DEFAULT_MAX_KERNEL_EVENTS: usize = 16;
 
-impl<T: Adt + Clone> Core<T> {
-    fn new(adt: T, discipline: Discipline, objects: usize, origins: usize, me: usize) -> Self {
+impl<T: Adt + Clone> Monitor<T> {
+    /// A monitor over `objects` object slots and `origins` replicas,
+    /// running at replica `me`.
+    pub fn new(adt: T, discipline: Discipline, objects: usize, origins: usize, me: usize) -> Self {
         let initial = adt.initial();
         let shadows = (0..objects.max(1))
             .map(|_| Shadow {
@@ -404,7 +416,7 @@ impl<T: Adt + Clone> Core<T> {
                 writes: 0,
             })
             .collect();
-        Core {
+        Monitor {
             adt,
             discipline,
             me,
@@ -419,7 +431,10 @@ impl<T: Adt + Clone> Core<T> {
         }
     }
 
-    fn on_own(
+    /// Fold one locally-invoked operation (query outputs are checked,
+    /// update effects folded). `time` is the op's Lamport time at this
+    /// replica.
+    pub fn on_own(
         &mut self,
         obj: u32,
         input: &T::Input,
@@ -451,7 +466,8 @@ impl<T: Adt + Clone> Core<T> {
         esc
     }
 
-    fn on_delivered(&mut self, obj: u32, input: &T::Input, stamp: Stamp) -> Option<Escalation> {
+    /// Fold one causally-delivered remote update.
+    pub fn on_delivered(&mut self, obj: u32, input: &T::Input, stamp: Stamp) -> Option<Escalation> {
         self.stats.folds += 1;
         self.delivered[stamp.origin] += 1;
         let mut esc = None;
@@ -489,7 +505,9 @@ impl<T: Adt + Clone> Core<T> {
         esc
     }
 
-    fn on_served_read(
+    /// Check the output of a routed read served *from* this replica
+    /// (certifies reads this replica answers for non-hosting peers).
+    pub fn on_served_read(
         &mut self,
         obj: u32,
         input: &T::Input,
@@ -774,7 +792,7 @@ impl<T: Adt + Clone> Core<T> {
     /// Drain compaction: every ring is cut at a stamps-ordered point
     /// (all later Lamport times exceed all folded ones), so the seed
     /// absorbs the fold and the escalation window restarts empty.
-    fn on_drain(&mut self) {
+    pub fn on_drain(&mut self) {
         for sh in &mut self.shadows {
             sh.seed = sh.state.clone();
             sh.ring.clear();
@@ -785,7 +803,7 @@ impl<T: Adt + Clone> Core<T> {
     /// a co-replica transfer. The shadow restarts from it — ring and
     /// last-writer context cleared, so no escalation window rebuilt
     /// after this point can contain pre-crash placeholders.
-    fn install_slot(&mut self, slot: usize, state: &T::State) {
+    pub fn install_slot(&mut self, slot: usize, state: &T::State) {
         let sh = &mut self.shadows[slot];
         sh.state = state.clone();
         sh.seed = state.clone();
@@ -796,21 +814,22 @@ impl<T: Adt + Clone> Core<T> {
     /// Recovery resync: restart the per-origin frontier (post-recovery
     /// stamps are all beyond the cut; monotonicity re-arms from the
     /// next delivery).
-    fn resync(&mut self) {
+    pub fn resync(&mut self) {
         for t in &mut self.last_ts {
             *t = None;
         }
     }
 
-    fn stats(&self) -> MonitorStats {
+    /// Counter snapshot.
+    pub fn stats(&self) -> MonitorStats {
         self.stats
     }
 
     /// Durable-restart seeding: add the counters a crashed monitor had
     /// persisted at its last sealed cut, so a restarted replica's totals
     /// continue from the cut instead of restarting at zero (shadows are
-    /// rebuilt separately via [`Core::install_slot`]).
-    fn seed_stats(&mut self, s: MonitorStats) {
+    /// rebuilt separately via [`Monitor::install_slot`]).
+    pub fn seed_stats(&mut self, s: MonitorStats) {
         self.stats.ops_checked += s.ops_checked;
         self.stats.folds += s.folds;
         self.stats.escalations += s.escalations;
@@ -819,117 +838,54 @@ impl<T: Adt + Clone> Core<T> {
         self.stats.kernel_unknown += s.kernel_unknown;
     }
 
-    fn frontier(&self) -> &[u64] {
+    /// Per-origin applied-update counts (the co/hb frontier).
+    pub fn frontier(&self) -> &[u64] {
         &self.delivered
     }
 }
 
-macro_rules! monitor_facade {
+macro_rules! fixed_discipline {
     ($name:ident, $discipline:expr, $doc:literal) => {
         #[doc = $doc]
         #[derive(Debug, Clone)]
-        pub struct $name<T: Adt>(Core<T>);
+        pub struct $name<T: Adt>(Monitor<T>);
 
         impl<T: Adt + Clone> $name<T> {
             /// A monitor over `objects` object slots and `origins`
             /// replicas, running at replica `me`.
             pub fn new(adt: T, objects: usize, origins: usize, me: usize) -> Self {
-                $name(Core::new(adt, $discipline, objects, origins, me))
+                $name(Monitor::new(adt, $discipline, objects, origins, me))
             }
+        }
 
-            /// Override the kernel budget for escalations.
-            pub fn with_budget(mut self, budget: Budget) -> Self {
-                self.0.budget = budget;
-                self
+        impl<T: Adt> std::ops::Deref for $name<T> {
+            type Target = Monitor<T>;
+            fn deref(&self) -> &Monitor<T> {
+                &self.0
             }
+        }
 
-            /// Fold one locally-invoked operation (query outputs are
-            /// checked, update effects folded). `time` is the op's
-            /// Lamport time at this replica.
-            pub fn on_own(
-                &mut self,
-                obj: u32,
-                input: &T::Input,
-                output: &T::Output,
-                time: u64,
-            ) -> Option<Escalation> {
-                self.0.on_own(obj, input, output, time)
-            }
-
-            /// Fold one causally-delivered remote update.
-            pub fn on_delivered(
-                &mut self,
-                obj: u32,
-                input: &T::Input,
-                stamp: Stamp,
-            ) -> Option<Escalation> {
-                self.0.on_delivered(obj, input, stamp)
-            }
-
-            /// Check the output of a routed read served *from* this
-            /// replica (certifies reads this replica answers for
-            /// non-hosting peers).
-            pub fn on_served_read(
-                &mut self,
-                obj: u32,
-                input: &T::Input,
-                output: &T::Output,
-            ) -> Option<Escalation> {
-                self.0.on_served_read(obj, input, output)
-            }
-
-            /// Compact at a drain rendezvous: rings cut at a
-            /// stamps-ordered point, retained suffixes stay seeded.
-            pub fn on_drain(&mut self) {
-                self.0.on_drain()
-            }
-
-            /// Rebuild one object slot from a recovery state transfer.
-            pub fn install_slot(&mut self, slot: usize, state: &T::State) {
-                self.0.install_slot(slot, state)
-            }
-
-            /// Restart the per-origin frontier after a recovery resync.
-            pub fn resync(&mut self) {
-                self.0.resync()
-            }
-
-            /// Counter snapshot.
-            pub fn stats(&self) -> MonitorStats {
-                self.0.stats()
-            }
-
-            /// Seed the counters from a persisted snapshot (durable
-            /// restart continues totals from the sealed cut).
-            pub fn seed_stats(&mut self, s: MonitorStats) {
-                self.0.seed_stats(s)
-            }
-
-            /// Per-origin applied-update counts (the co/hb frontier).
-            pub fn frontier(&self) -> &[u64] {
-                self.0.frontier()
+        impl<T: Adt> std::ops::DerefMut for $name<T> {
+            fn deref_mut(&mut self) -> &mut Monitor<T> {
+                &mut self.0
             }
         }
     };
 }
 
-monitor_facade!(
+fixed_discipline!(
     CcMonitor,
     Discipline::Cc,
-    "Streaming bad-pattern monitor for delivery-order (**CC**, Def. 9) \
-     replicas: shadow state folds applied updates in delivery order; \
-     query outputs are certified against it in O(1); suspicions \
-     escalate to the exact checkers (see the [module docs](self))."
+    "A [`Monitor`] fixed to [`Discipline::Cc`]: delivery-order (**CC**, \
+     Def. 9) replicas."
 );
 
-monitor_facade!(
+fixed_discipline!(
     CcvMonitor,
     Discipline::Ccv,
-    "Streaming bad-pattern monitor layering the arbitration/convergence \
-     check (**CCv**, Def. 12): shadow state folds applied updates in \
-     Lamport-stamp arbitration order via an independent per-object \
-     sorted log; adds the `WriteHbInitRead`/`CyclicCf` patterns to the \
-     family (see the [module docs](self))."
+    "A [`Monitor`] fixed to [`Discipline::Ccv`]: arbitration-order \
+     (**CCv**, Def. 12) replicas, adding the `WriteHbInitRead`/`CyclicCf` \
+     patterns to the family."
 );
 
 #[cfg(test)]

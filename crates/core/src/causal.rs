@@ -29,7 +29,7 @@
 //! consistent but not sequentially consistent.
 
 use crate::replica::{stamped_size, InvokeOutcome, Outgoing, Replica, Stamped};
-use cbm_adt::{Adt, AdtExt};
+use cbm_adt::Adt;
 use cbm_net::broadcast::{CausalBroadcast, CausalMsg};
 use cbm_net::NodeId;
 
@@ -117,11 +117,6 @@ impl<T: Adt> CausalShared<T> {
     /// an event (monitoring hooks).
     pub fn peek(&self, input: &T::Input) -> T::Output {
         self.adt.output(&self.state, input)
-    }
-
-    /// Fold a sequence of inputs over a fresh state (test helper).
-    pub fn replay_inputs(adt: &T, inputs: &[T::Input]) -> T::State {
-        adt.fold_inputs(inputs.iter())
     }
 }
 

@@ -164,11 +164,6 @@ impl<P: Clone> CausalBroadcast<P> {
             .all(|j| m.vc.get(j) <= self.delivered.get(j))
     }
 
-    /// Number of messages delivered from each sender.
-    pub fn delivered_clock(&self) -> &VectorClock {
-        &self.delivered
-    }
-
     /// Envelopes waiting for their causal past.
     pub fn buffered(&self) -> usize {
         self.buffer.len()

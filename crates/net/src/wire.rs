@@ -10,8 +10,12 @@
 //!
 //! Composite impls live next to their types (`StoreMsg` and the report
 //! chain in `cbm-store`, leg specs in `cbm-bench`); this module owns
-//! the primitives plus the codecs for `cbm-net`'s own fault vocabulary
-//! so a [`FaultPlan`] can ride a control socket. Probabilities encode
+//! the primitives, the codecs for `cbm-net`'s own fault vocabulary so
+//! a [`FaultPlan`] can ride a control socket, and the codecs for the
+//! ADT alphabets the store workloads replicate ([`RegInput`],
+//! [`RegOutput`], [`CtInput`], [`CtOutput`]) — a new workload ADT only
+//! needs a `Wire` impl here to ride the socket transport and the
+//! durable epoch log. Probabilities encode
 //! as `f64::to_bits` — bit-exact round-trips, no text formatting loss,
 //! which matters because chaos rolls are seeded *and* thresholded
 //! deterministically.
@@ -21,6 +25,8 @@ use crate::clock::Timestamp;
 use crate::delta::KnowledgeDelta;
 use crate::fault::{Fault, FaultEvent, FaultPlan};
 use crate::NodeId;
+use cbm_adt::counter::{CtInput, CtOutput};
+use cbm_adt::register::{RegInput, RegOutput};
 
 /// A value with a canonical little-endian wire form.
 pub trait Wire: Sized {
@@ -208,6 +214,36 @@ impl<P: Wire> Wire for InterestMsg<P> {
         })
     }
 }
+
+/// A two-variant ADT alphabet: one variant carrying a value, one
+/// bare, each behind its one-byte tag.
+macro_rules! alphabet_wire {
+    ($t:ident, $val:ident($vt:ty) = $vtag:literal, $bare:ident = $btag:literal) => {
+        impl Wire for $t {
+            fn put(&self, out: &mut Vec<u8>) {
+                match self {
+                    $t::$val(v) => {
+                        out.push($vtag);
+                        v.put(out);
+                    }
+                    $t::$bare => out.push($btag),
+                }
+            }
+            fn get(buf: &[u8], pos: &mut usize) -> Option<Self> {
+                match u8::get(buf, pos)? {
+                    $vtag => Some($t::$val(<$vt>::get(buf, pos)?)),
+                    $btag => Some($t::$bare),
+                    _ => None,
+                }
+            }
+        }
+    };
+}
+
+alphabet_wire!(RegInput, Write(u64) = 0, Read = 1);
+alphabet_wire!(RegOutput, Val(u64) = 1, Ack = 0);
+alphabet_wire!(CtInput, Add(i64) = 0, Read = 1);
+alphabet_wire!(CtOutput, Val(i64) = 1, Ack = 0);
 
 impl Wire for Fault {
     fn put(&self, out: &mut Vec<u8>) {

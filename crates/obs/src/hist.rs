@@ -144,16 +144,6 @@ impl LatencyHistogram {
         }
         self.max
     }
-
-    /// Iterate over non-empty buckets as `(inclusive upper bound,
-    /// count)` pairs, in increasing value order.
-    pub fn nonzero_buckets(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.counts
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| (upper(i), c))
-    }
 }
 
 /// Shared-mutation mirror of [`LatencyHistogram`]: every slot is an

@@ -4,13 +4,6 @@
 //! protocol. Built on [`cbm_net::wire::Wire`]; see that module for the
 //! format conventions.
 //!
-//! The ADT payload scalars ([`RegInput`], [`CtOutput`], …) are foreign
-//! to this crate and so is `Wire`, so they encode through the local
-//! [`PayloadCodec`] trait instead — implemented here for exactly the
-//! alphabets the bench workloads drive through the engine. A new
-//! workload ADT only needs a `PayloadCodec` impl to ride the socket
-//! transport.
-//!
 //! `&'static str` report fields (window criterion, escalation pattern
 //! and verdict names) travel as strings and re-intern on decode
 //! against the known vocabulary; an unknown name (a newer peer) leaks
@@ -28,198 +21,54 @@ use crate::stats::{
     StoreReport, WindowVerdict, WorkerStats,
 };
 use crate::wire::{ShardDeltaPayload, ShardSyncPayload, StoreMsg, WireOp};
-use cbm_adt::counter::{CtInput, CtOutput};
-use cbm_adt::register::{RegInput, RegOutput};
 use cbm_net::clock::Timestamp;
 use cbm_net::fault::FaultPlan;
 use cbm_net::wire::Wire;
 
-/// Local codec surface for ADT input/output/state scalars (mirrors
-/// [`Wire`]; exists because both `Wire` and the ADT alphabets are
-/// foreign here, so a blanket orphan impl is impossible).
-pub trait PayloadCodec: Sized {
-    /// Append this value's encoding to `out`.
-    fn enc(&self, out: &mut Vec<u8>);
-    /// Decode one value at `*pos`, advancing past it.
-    fn dec(buf: &[u8], pos: &mut usize) -> Option<Self>;
-}
-
-impl PayloadCodec for u64 {
-    fn enc(&self, out: &mut Vec<u8>) {
-        Wire::put(self, out);
-    }
-    fn dec(buf: &[u8], pos: &mut usize) -> Option<Self> {
-        Wire::get(buf, pos)
-    }
-}
-
-impl PayloadCodec for i64 {
-    fn enc(&self, out: &mut Vec<u8>) {
-        Wire::put(self, out);
-    }
-    fn dec(buf: &[u8], pos: &mut usize) -> Option<Self> {
-        Wire::get(buf, pos)
-    }
-}
-
-impl PayloadCodec for RegInput {
-    fn enc(&self, out: &mut Vec<u8>) {
-        match self {
-            RegInput::Write(v) => {
-                out.push(0);
-                Wire::put(v, out);
-            }
-            RegInput::Read => out.push(1),
-        }
-    }
-    fn dec(buf: &[u8], pos: &mut usize) -> Option<Self> {
-        Some(match u8::get(buf, pos)? {
-            0 => RegInput::Write(Wire::get(buf, pos)?),
-            1 => RegInput::Read,
-            _ => return None,
-        })
-    }
-}
-
-impl PayloadCodec for RegOutput {
-    fn enc(&self, out: &mut Vec<u8>) {
-        match self {
-            RegOutput::Ack => out.push(0),
-            RegOutput::Val(v) => {
-                out.push(1);
-                Wire::put(v, out);
-            }
-        }
-    }
-    fn dec(buf: &[u8], pos: &mut usize) -> Option<Self> {
-        Some(match u8::get(buf, pos)? {
-            0 => RegOutput::Ack,
-            1 => RegOutput::Val(Wire::get(buf, pos)?),
-            _ => return None,
-        })
-    }
-}
-
-impl PayloadCodec for CtInput {
-    fn enc(&self, out: &mut Vec<u8>) {
-        match self {
-            CtInput::Add(n) => {
-                out.push(0);
-                Wire::put(n, out);
-            }
-            CtInput::Read => out.push(1),
-        }
-    }
-    fn dec(buf: &[u8], pos: &mut usize) -> Option<Self> {
-        Some(match u8::get(buf, pos)? {
-            0 => CtInput::Add(Wire::get(buf, pos)?),
-            1 => CtInput::Read,
-            _ => return None,
-        })
-    }
-}
-
-impl PayloadCodec for CtOutput {
-    fn enc(&self, out: &mut Vec<u8>) {
-        match self {
-            CtOutput::Ack => out.push(0),
-            CtOutput::Val(n) => {
-                out.push(1);
-                Wire::put(n, out);
-            }
-        }
-    }
-    fn dec(buf: &[u8], pos: &mut usize) -> Option<Self> {
-        Some(match u8::get(buf, pos)? {
-            0 => CtOutput::Ack,
-            1 => CtOutput::Val(Wire::get(buf, pos)?),
-            _ => return None,
-        })
-    }
-}
-
-pub(crate) fn put_payload_vec<T: PayloadCodec>(v: &[T], out: &mut Vec<u8>) {
-    Wire::put(&v.len(), out);
-    for x in v {
-        x.enc(out);
-    }
-}
-
-pub(crate) fn get_payload_vec<T: PayloadCodec>(buf: &[u8], pos: &mut usize) -> Option<Vec<T>> {
-    let len = usize::get(buf, pos)?;
-    let mut out = Vec::with_capacity(len.min(buf.len().saturating_sub(*pos)));
-    for _ in 0..len {
-        out.push(T::dec(buf, pos)?);
-    }
-    Some(out)
-}
-
-impl<I: PayloadCodec> Wire for WireOp<I> {
+impl<I: Wire> Wire for WireOp<I> {
     fn put(&self, out: &mut Vec<u8>) {
         self.obj.put(out);
-        self.input.enc(out);
+        self.input.put(out);
         self.ts.put(out);
         self.wseq.put(out);
     }
     fn get(buf: &[u8], pos: &mut usize) -> Option<Self> {
         Some(WireOp {
             obj: u32::get(buf, pos)?,
-            input: I::dec(buf, pos)?,
+            input: I::get(buf, pos)?,
             ts: Timestamp::get(buf, pos)?,
             wseq: Option::get(buf, pos)?,
         })
     }
 }
 
-impl<S: PayloadCodec> Wire for ShardSyncPayload<S> {
+impl<S: Wire> Wire for ShardSyncPayload<S> {
     fn put(&self, out: &mut Vec<u8>) {
-        self.shards.len().put(out);
-        for (shard, states) in &self.shards {
-            shard.put(out);
-            put_payload_vec(states, out);
-        }
+        self.shards.put(out);
         self.lamport.put(out);
     }
     fn get(buf: &[u8], pos: &mut usize) -> Option<Self> {
-        let n = usize::get(buf, pos)?;
-        let mut shards = Vec::with_capacity(n.min(buf.len().saturating_sub(*pos)));
-        for _ in 0..n {
-            let shard = u32::get(buf, pos)?;
-            let states = get_payload_vec(buf, pos)?;
-            shards.push((shard, states));
-        }
         Some(ShardSyncPayload {
-            shards,
+            shards: Vec::get(buf, pos)?,
             lamport: u64::get(buf, pos)?,
         })
     }
 }
 
-impl<I: PayloadCodec> Wire for ShardDeltaPayload<I> {
+impl<I: Wire> Wire for ShardDeltaPayload<I> {
     fn put(&self, out: &mut Vec<u8>) {
-        self.shards.len().put(out);
-        for (shard, ops) in &self.shards {
-            shard.put(out);
-            ops.put(out);
-        }
+        self.shards.put(out);
         self.lamport.put(out);
     }
     fn get(buf: &[u8], pos: &mut usize) -> Option<Self> {
-        let n = usize::get(buf, pos)?;
-        let mut shards = Vec::with_capacity(n.min(buf.len().saturating_sub(*pos)));
-        for _ in 0..n {
-            let shard = u32::get(buf, pos)?;
-            let ops = Vec::get(buf, pos)?;
-            shards.push((shard, ops));
-        }
         Some(ShardDeltaPayload {
-            shards,
+            shards: Vec::get(buf, pos)?,
             lamport: u64::get(buf, pos)?,
         })
     }
 }
 
-impl<I: PayloadCodec, O: PayloadCodec, S: PayloadCodec> Wire for StoreMsg<I, O, S> {
+impl<I: Wire, O: Wire, S: Wire> Wire for StoreMsg<I, O, S> {
     fn put(&self, out: &mut Vec<u8>) {
         match self {
             StoreMsg::Batch(env) => {
@@ -238,11 +87,11 @@ impl<I: PayloadCodec, O: PayloadCodec, S: PayloadCodec> Wire for StoreMsg<I, O, 
             StoreMsg::ReadReq { obj, input } => {
                 out.push(4);
                 obj.put(out);
-                input.enc(out);
+                input.put(out);
             }
             StoreMsg::ReadReply { output } => {
                 out.push(5);
-                output.enc(out);
+                output.put(out);
             }
             StoreMsg::SyncReq { full } => {
                 out.push(6);
@@ -262,10 +111,10 @@ impl<I: PayloadCodec, O: PayloadCodec, S: PayloadCodec> Wire for StoreMsg<I, O, 
             3 => StoreMsg::ShardSync(Box::new(ShardSyncPayload::get(buf, pos)?)),
             4 => StoreMsg::ReadReq {
                 obj: u32::get(buf, pos)?,
-                input: I::dec(buf, pos)?,
+                input: I::get(buf, pos)?,
             },
             5 => StoreMsg::ReadReply {
-                output: O::dec(buf, pos)?,
+                output: O::get(buf, pos)?,
             },
             6 => StoreMsg::SyncReq {
                 full: bool::get(buf, pos)?,
@@ -735,6 +584,8 @@ impl Wire for StoreReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cbm_adt::counter::{CtInput, CtOutput};
+    use cbm_adt::register::{RegInput, RegOutput};
     use cbm_net::broadcast::InterestMsg;
     use cbm_net::delta::KnowledgeDelta;
     use cbm_net::wire::{from_bytes, to_bytes};

@@ -23,8 +23,8 @@
 //!
 //! Every record is framed exactly like a socket frame
 //! ([`cbm_net::tcp`]): `[len u32 LE][crc32 u32 LE][body]`, with bodies
-//! in the canonical fixed-width little-endian [`Wire`]/
-//! [`PayloadCodec`] encoding. Periodically ([`snapshot_every`
+//! in the canonical fixed-width little-endian [`Wire`] encoding.
+//! Periodically ([`snapshot_every`
 //! boundary seals](crate::DurableConfig::snapshot_every)) the worker
 //! writes a compacted snapshot — full state vector + delivered
 //! frontier + Lamport clock + monitor shadow seeds, as one framed
@@ -41,7 +41,6 @@
 //! replay from disk, fetch the op delta past the replayed cut from
 //! co-replicas, or fall back to the full state transfer.
 
-use crate::codec::{get_payload_vec, put_payload_vec, PayloadCodec};
 use crate::config::Mode;
 use crate::objects::ObjectTable;
 use crate::wire::WireOp;
@@ -306,22 +305,17 @@ impl EpochLog {
     }
 
     /// Record one own update, applied at invocation.
-    pub fn log_own<I: PayloadCodec>(
-        &mut self,
-        obj: u32,
-        ts: Timestamp,
-        input: &I,
-    ) -> std::io::Result<()> {
+    pub fn log_own<I: Wire>(&mut self, obj: u32, ts: Timestamp, input: &I) -> std::io::Result<()> {
         self.body.clear();
         self.body.push(TAG_OWN);
         obj.put(&mut self.body);
         ts.put(&mut self.body);
-        input.enc(&mut self.body);
+        input.put(&mut self.body);
         self.append_frame()
     }
 
     /// Record one delivered envelope batch.
-    pub fn log_batch<I: PayloadCodec>(
+    pub fn log_batch<I: Wire>(
         &mut self,
         sender: usize,
         seq: u64,
@@ -365,11 +359,7 @@ impl EpochLog {
     /// [`EpochLog::open`], or another snapshot: records staged before
     /// the truncation would otherwise land in the fresh log and replay
     /// on top of the new snapshot.
-    pub fn snapshot<S: PayloadCodec>(
-        &mut self,
-        seal: &SealInfo,
-        states: &[S],
-    ) -> std::io::Result<()> {
+    pub fn snapshot<S: Wire>(&mut self, seal: &SealInfo, states: &[S]) -> std::io::Result<()> {
         debug_assert!(
             self.out.buf.is_empty(),
             "snapshot with staged records past the last seal"
@@ -379,7 +369,10 @@ impl EpochLog {
         self.body.clear();
         self.body.resize(FRAME_HEADER, 0);
         seal.put(&mut self.body);
-        put_payload_vec(states, &mut self.body);
+        states.len().put(&mut self.body);
+        for s in states {
+            s.put(&mut self.body);
+        }
         let header = frame_header(&self.body[FRAME_HEADER..]);
         self.body[..FRAME_HEADER].copy_from_slice(&header);
         let tmp = self.snap_path.with_extension("snap.tmp");
@@ -447,8 +440,8 @@ pub fn recover<T: Adt>(
     mode: Mode,
 ) -> Result<Recovered<T>, LogError>
 where
-    T::Input: PayloadCodec,
-    T::State: PayloadCodec,
+    T::Input: Wire,
+    T::State: Wire,
 {
     let mut table = ObjectTable::new(adt, objects, mode);
     let mut base: Option<SealInfo> = None;
@@ -464,8 +457,7 @@ where
             let buf = &bytes[body.clone()];
             let mut pos = 0usize;
             let seal = SealInfo::get(buf, &mut pos).ok_or(LogError::CorruptSnapshot)?;
-            let states: Vec<T::State> =
-                get_payload_vec(buf, &mut pos).ok_or(LogError::CorruptSnapshot)?;
+            let states: Vec<T::State> = Vec::get(buf, &mut pos).ok_or(LogError::CorruptSnapshot)?;
             if pos != buf.len() {
                 return Err(LogError::CorruptSnapshot);
             }
@@ -501,7 +493,7 @@ where
                 Some(&TAG_OWN) => {
                     let obj = u32::get(buf, &mut pos).ok_or(corrupt.clone())?;
                     let ts = Timestamp::get(buf, &mut pos).ok_or(corrupt.clone())?;
-                    let input = T::Input::dec(buf, &mut pos).ok_or(corrupt)?;
+                    let input = T::Input::get(buf, &mut pos).ok_or(corrupt)?;
                     table.apply_update(adt, obj, ts, &input);
                 }
                 Some(&TAG_BATCH) => {
@@ -705,7 +697,7 @@ mod tests {
         let mut body = vec![TAG_OWN];
         obj.put(&mut body);
         t.put(&mut body);
-        input.enc(&mut body);
+        input.put(&mut body);
         let mut frame = (body.len() as u32).to_le_bytes().to_vec();
         frame.extend_from_slice(&crc32(&body).to_le_bytes());
         frame.extend_from_slice(&body);

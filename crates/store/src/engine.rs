@@ -73,9 +73,19 @@
 //! chaos run issues exactly the op multiset of its fault-free twin,
 //! which is what makes final-state comparison against the twin
 //! meaningful.
+//!
+//! ## Inside a worker
+//!
+//! A `Worker` is the replica (object table, clock, causal layer,
+//! chaos endpoint, window recorder) plus four layers, each owning its
+//! state (`docs/ARCHITECTURE.md`): the `Tally` of every counter (an
+//! epoch's metrics row is the difference of two tallies), the
+//! `Telemetry` layer (registry, flight recorder, latency histograms,
+//! one span helper), and two optional layers whose presence is their
+//! on/off switch — the streaming monitor `Watch` and the durable
+//! epoch log `Durable`.
 
 use crate::chaos::{ChaosSchedule, CrashSpan};
-use crate::codec::PayloadCodec;
 use crate::config::{Mode, StoreConfig};
 use crate::durable::{self, EpochLog, SealInfo};
 use crate::objects::ObjectTable;
@@ -91,15 +101,16 @@ use crate::wire::{
 };
 use cbm_adt::space::{ObjectSpace, SpaceInput};
 use cbm_adt::Adt;
-use cbm_check::monitor::{CcMonitor, CcvMonitor, Escalation, MonitorStats, Stamp};
+use cbm_check::monitor::{Discipline, Escalation, Monitor, MonitorStats, Stamp};
 use cbm_check::Verdict;
 use cbm_net::broadcast::{InterestBatchCausalBroadcast, InterestMask};
-use cbm_net::chaos::ChaosEndpoint;
+use cbm_net::chaos::{ChaosEndpoint, ChaosEvent};
 use cbm_net::clock::{LamportClock, Timestamp};
 use cbm_net::endpoint::Endpoint as EndpointApi;
 use cbm_net::fault::FaultSchedule;
 use cbm_net::tcp::TcpNet;
 use cbm_net::thread_net::{ThreadNet, ThreadNetStats};
+use cbm_net::wire::Wire;
 use cbm_net::NodeId;
 use cbm_obs::trace::TraceConfig;
 use cbm_obs::{
@@ -226,22 +237,6 @@ impl EngineMetrics {
     }
 }
 
-/// A worker's cumulative counter snapshot at a drain; consecutive
-/// snapshots difference into one deterministic [`EpochMetrics`] row.
-#[derive(Clone, Copy, Default)]
-struct EpochSnap {
-    ops: u64,
-    updates: u64,
-    remote_reads: u64,
-    batches: u64,
-    payloads: u64,
-    delivered: u64,
-    nacks: u64,
-    repairs: u64,
-    repaired_batches: u64,
-    faults: u64,
-}
-
 /// Run the engine: `gen(worker, op_index, rng)` supplies each
 /// operation. Returns the full report; panics if a worker thread
 /// panics (a consistency monitor tripping is a test failure, not data)
@@ -249,9 +244,9 @@ struct EpochSnap {
 pub fn run<T, G>(adt: &T, cfg: &StoreConfig, gen: G) -> StoreReport
 where
     T: Adt + Clone + Send + Sync,
-    T::Input: PayloadCodec + Send + Sync,
+    T::Input: Wire + Send + Sync,
     T::Output: Send,
-    T::State: PayloadCodec + Send + Sync,
+    T::State: Wire + Send + Sync,
     G: Fn(NodeId, u64, &mut StdRng) -> SpaceInput<T::Input> + Sync,
 {
     let n = cfg.workers.max(1);
@@ -272,9 +267,9 @@ where
 pub fn run_tcp<T, G>(adt: &T, cfg: &StoreConfig, gen: G) -> StoreReport
 where
     T: Adt + Clone + Send + Sync,
-    T::Input: PayloadCodec + Send + Sync + 'static,
-    T::Output: PayloadCodec + Send + 'static,
-    T::State: PayloadCodec + Send + Sync + 'static,
+    T::Input: Wire + Send + Sync + 'static,
+    T::Output: Wire + Send + 'static,
+    T::State: Wire + Send + Sync + 'static,
     G: Fn(NodeId, u64, &mut StdRng) -> SpaceInput<T::Input> + Sync,
 {
     let n = cfg.workers.max(1);
@@ -295,11 +290,11 @@ fn run_on<T, G, E>(
 ) -> StoreReport
 where
     T: Adt + Clone + Send + Sync,
-    T::Input: PayloadCodec + Send + Sync,
+    T::Input: Wire + Send + Sync,
     T::Output: Send,
-    T::State: PayloadCodec + Send + Sync,
+    T::State: Wire + Send + Sync,
     G: Fn(NodeId, u64, &mut StdRng) -> SpaceInput<T::Input> + Sync,
-    E: EndpointApi<StoreMsg<T::Input, T::Output, T::State>>,
+    E: EndpointApi<Msg<T>>,
 {
     let n = cfg.workers.max(1);
     let map = ShardMap::build(cfg);
@@ -463,9 +458,9 @@ where
         chaos.delayed += c.delayed;
         chaos.pruned += c.pruned;
         chaos.crash_discarded += c.crash_discarded;
-        chaos.nacks += r.nacks_sent;
-        chaos.repairs += r.repairs_sent;
-        chaos.repaired_batches += r.repaired_batches;
+        chaos.nacks += r.tally.nacks;
+        chaos.repairs += r.tally.repairs;
+        chaos.repaired_batches += r.tally.repaired_batches;
         recoveries.extend(r.recoveries.iter().cloned());
     }
     recoveries.sort_by_key(|r| (r.crash_epoch, r.worker));
@@ -542,9 +537,8 @@ where
 struct WorkerResult {
     stats: WorkerStats,
     chaos: cbm_net::chaos::ChaosCounters,
-    nacks_sent: u64,
-    repairs_sent: u64,
-    repaired_batches: u64,
+    /// The worker's final counters.
+    tally: Tally,
     recoveries: Vec<RecoveryStats>,
     /// Deterministic per-epoch counter rows, epoch order.
     rows: Vec<EpochMetrics>,
@@ -558,120 +552,230 @@ struct WorkerResult {
     mon_ns: u64,
 }
 
-/// The per-mode streaming monitor a worker runs inline when
-/// [`crate::config::VerifyConfig::monitor`] is set. The two arms
-/// mirror [`Mode`]: `Causal` certifies against a delivery-order
-/// shadow fold (CC), `Convergent` against an independent Lamport-
-/// arbitrated fold (CCv). `Off` keeps the hot path untouched — every
-/// hook is behind an `enabled()` check the branch predictor eats.
-enum EngineMonitor<T: Adt> {
-    Off,
-    Cc(CcMonitor<T>),
-    Ccv(CcvMonitor<T>),
-}
-
-impl<T: Adt + Clone> EngineMonitor<T> {
-    fn new(adt: &T, cfg: &StoreConfig, me: usize) -> Self {
-        if !cfg.verify.monitor {
-            return EngineMonitor::Off;
-        }
-        let objects = cfg.objects.max(1);
-        let n = cfg.workers.max(1);
-        match cfg.mode {
-            Mode::Causal => EngineMonitor::Cc(CcMonitor::new(adt.clone(), objects, n, me)),
-            Mode::Convergent => EngineMonitor::Ccv(CcvMonitor::new(adt.clone(), objects, n, me)),
-        }
-    }
-
-    #[inline]
-    fn enabled(&self) -> bool {
-        !matches!(self, EngineMonitor::Off)
-    }
-
-    #[inline]
-    fn on_own(
-        &mut self,
-        slot: u32,
-        input: &T::Input,
-        output: &T::Output,
-        time: u64,
-    ) -> Option<Escalation> {
-        match self {
-            EngineMonitor::Off => None,
-            EngineMonitor::Cc(m) => m.on_own(slot, input, output, time),
-            EngineMonitor::Ccv(m) => m.on_own(slot, input, output, time),
-        }
-    }
-
-    #[inline]
-    fn on_delivered(&mut self, slot: u32, input: &T::Input, stamp: Stamp) -> Option<Escalation> {
-        match self {
-            EngineMonitor::Off => None,
-            EngineMonitor::Cc(m) => m.on_delivered(slot, input, stamp),
-            EngineMonitor::Ccv(m) => m.on_delivered(slot, input, stamp),
-        }
-    }
-
-    #[inline]
-    fn on_served_read(
-        &mut self,
-        slot: u32,
-        input: &T::Input,
-        output: &T::Output,
-    ) -> Option<Escalation> {
-        match self {
-            EngineMonitor::Off => None,
-            EngineMonitor::Cc(m) => m.on_served_read(slot, input, output),
-            EngineMonitor::Ccv(m) => m.on_served_read(slot, input, output),
-        }
-    }
-
-    fn on_drain(&mut self) {
-        match self {
-            EngineMonitor::Off => {}
-            EngineMonitor::Cc(m) => m.on_drain(),
-            EngineMonitor::Ccv(m) => m.on_drain(),
-        }
-    }
-
-    fn install_slot(&mut self, slot: usize, state: &T::State) {
-        match self {
-            EngineMonitor::Off => {}
-            EngineMonitor::Cc(m) => m.install_slot(slot, state),
-            EngineMonitor::Ccv(m) => m.install_slot(slot, state),
-        }
-    }
-
-    fn resync(&mut self) {
-        match self {
-            EngineMonitor::Off => {}
-            EngineMonitor::Cc(m) => m.resync(),
-            EngineMonitor::Ccv(m) => m.resync(),
-        }
-    }
-
-    /// Seed the counters from a persisted snapshot (durable restart).
-    fn seed_stats(&mut self, s: MonitorStats) {
-        match self {
-            EngineMonitor::Off => {}
-            EngineMonitor::Cc(m) => m.seed_stats(s),
-            EngineMonitor::Ccv(m) => m.seed_stats(s),
-        }
-    }
-
-    fn stats(&self) -> MonitorStats {
-        match self {
-            EngineMonitor::Off => MonitorStats::default(),
-            EngineMonitor::Cc(m) => m.stats(),
-            EngineMonitor::Ccv(m) => m.stats(),
-        }
-    }
-}
+/// Every message the engine moves, for ADT `T`.
+type Msg<T> = StoreMsg<<T as Adt>::Input, <T as Adt>::Output, <T as Adt>::State>;
 
 /// The chaos layer wrapped around a worker's transport endpoint,
 /// generic over the underlying transport `E` (thread channels or TCP).
-type WorkerEndpoint<T, E> =
-    ChaosEndpoint<StoreMsg<<T as Adt>::Input, <T as Adt>::Output, <T as Adt>::State>, E>;
+type WorkerEndpoint<T, E> = ChaosEndpoint<Msg<T>, E>;
+
+/// Every counter a worker keeps, as one `Copy` value. The epoch's
+/// deterministic [`EpochMetrics`] row is the difference of the
+/// snapshots ([`Worker::tally`]) taken at the drains that bound it.
+/// `batches`, `payloads` and `faults` are kept by the causal layer and
+/// the fault layer and copied in by the snapshot; the `peak_*` fields
+/// are high-water marks, flushed once at the end.
+#[derive(Clone, Copy, Default)]
+struct Tally {
+    /// Ops issued: the worker's position in its op script.
+    ops: u64,
+    reads: u64,
+    updates: u64,
+    remote_reads: u64,
+    reads_served: u64,
+    batches: u64,
+    payloads: u64,
+    /// Batches causally delivered.
+    delivered: u64,
+    nacks: u64,
+    repairs: u64,
+    repaired_batches: u64,
+    faults: u64,
+    /// Messages dropped unread: crashed drains, pre-recovery
+    /// stragglers, and protocol bugs tolerated outside debug builds.
+    discarded: u64,
+    /// Bytes of `knows` headers shipped with batch envelopes.
+    matrix_bytes: u64,
+    /// Payload ops shipped, summed per **copy** (a batch multicast to
+    /// `k` recipients adds `k * ops`; contrast `payloads`, which
+    /// counts per flush). With `matrix_bytes` this makes the byte
+    /// accounting auditable: on a lossless run, `bytes_sent` of batch
+    /// traffic is exactly `matrix_bytes + per_op_bytes *
+    /// payload_copy_ops` (see `wire_accounting.rs`).
+    payload_copy_ops: u64,
+    peak_buffered: usize,
+    peak_suppression: usize,
+    peak_pending: usize,
+}
+
+impl Tally {
+    /// Epoch `epoch`'s row: what was counted between `prev` and `self`.
+    fn since(&self, prev: &Tally, epoch: u64, crashed: bool) -> EpochMetrics {
+        EpochMetrics {
+            epoch,
+            ops: self.ops - prev.ops,
+            updates: self.updates - prev.updates,
+            remote_reads: self.remote_reads - prev.remote_reads,
+            batches: self.batches - prev.batches,
+            payloads: self.payloads - prev.payloads,
+            delivered: self.delivered - prev.delivered,
+            nacks: self.nacks - prev.nacks,
+            repairs: self.repairs - prev.repairs,
+            faults: self.faults - prev.faults,
+            crashed: u64::from(crashed),
+        }
+    }
+}
+
+/// The telemetry layer: the shared metrics registry, the flight
+/// recorder, the latency profile and the per-epoch rows. Counters
+/// reach the registry as deltas at drain rendezvous (plus one final
+/// flush), so steady-state op execution touches no shared memory.
+struct Telemetry<'a> {
+    metrics: &'a EngineMetrics,
+    /// The run's shared start instant; span wall stamps are offsets
+    /// from it so all lanes share one timeline.
+    t0: Instant,
+    me: u32,
+    tracer: EpochTracer,
+    /// The epoch whose spans the worker is currently recording; spans
+    /// created during a boundary drain still belong to the epoch the
+    /// drain closes.
+    trace_epoch: u64,
+    /// Cumulative operation latency profile (feeds this worker's
+    /// [`WorkerStats`]).
+    hist: LatencyHistogram,
+    /// Latencies since the last drain; merged into `hist` and the
+    /// shared registry histogram at each drain rendezvous.
+    hist_epoch: LatencyHistogram,
+    /// The tally at the previous drain.
+    prev: Tally,
+    rows: Vec<EpochMetrics>,
+}
+
+impl Telemetry<'_> {
+    /// Are spans being recorded?
+    #[inline]
+    fn on(&self) -> bool {
+        self.tracer.enabled()
+    }
+
+    /// Wall offset from the run's shared start instant.
+    fn now_ns(&self) -> u64 {
+        self.t0.elapsed().as_nanos() as u64
+    }
+
+    /// Record one `kind` span at logical stamp `logical` in the current
+    /// epoch, wall-stamped now; `fill` sets the kind's own fields.
+    /// No-op with tracing off.
+    #[inline]
+    fn span(&mut self, kind: SpanKind, logical: u64, fill: impl FnOnce(&mut Span)) {
+        if self.on() {
+            let wall = self.now_ns();
+            self.push(kind, logical, wall, fill);
+        }
+    }
+
+    /// [`Telemetry::span`] for an interval that began at `start`.
+    #[inline]
+    fn span_from(
+        &mut self,
+        kind: SpanKind,
+        logical: u64,
+        start: Instant,
+        fill: impl FnOnce(&mut Span),
+    ) {
+        if self.on() {
+            let wall = start.duration_since(self.t0).as_nanos() as u64;
+            self.push(kind, logical, wall, fill);
+        }
+    }
+
+    fn push(&mut self, kind: SpanKind, logical: u64, wall: u64, fill: impl FnOnce(&mut Span)) {
+        let mut sp = Span::new(kind, self.me, self.trace_epoch, logical);
+        sp.wall_ns = wall;
+        fill(&mut sp);
+        self.tracer.push(sp);
+    }
+
+    /// Convert buffered fault events into `fault` spans and seal every
+    /// epoch up to and including `epoch` — arrival order no longer
+    /// matters after this, which is what makes the retained span set
+    /// deterministic. `every` is the epoch length in op ticks.
+    fn seal_epoch(&mut self, epoch: u64, every: u64, faults: Vec<ChaosEvent>) {
+        if !self.on() {
+            return;
+        }
+        let wall = self.now_ns();
+        for ev in faults {
+            let mut sp = Span::new(SpanKind::Fault, self.me, ev.vtime / every, ev.vtime);
+            sp.peer = ev.to as i64;
+            sp.a = ev.kind.code();
+            sp.wall_ns = wall;
+            self.tracer.push(sp);
+        }
+        self.tracer.seal(epoch);
+    }
+
+    /// At a drain that closes epoch `epoch`: push the epoch's row
+    /// (`cur` minus the previous drain's tally), and feed the deltas
+    /// (plus the epoch's latency buckets) into the shared registry —
+    /// the "merge at drain rendezvous" half of the metrics contract.
+    fn flush_epoch_metrics(&mut self, epoch: u64, cur: Tally, crashed: bool) {
+        let prev = std::mem::replace(&mut self.prev, cur);
+        let row = cur.since(&prev, epoch, crashed);
+        self.rows.push(row);
+        let m = self.metrics;
+        m.ops.add(row.ops);
+        m.updates.add(row.updates);
+        m.remote_reads.add(row.remote_reads);
+        m.batches_flushed.add(row.batches);
+        m.payloads_flushed.add(row.payloads);
+        m.batches_delivered.add(row.delivered);
+        m.nacks.add(row.nacks);
+        m.repairs.add(row.repairs);
+        m.repaired_batches
+            .add(cur.repaired_batches - prev.repaired_batches);
+        m.faults.add(row.faults);
+        let eh = std::mem::replace(&mut self.hist_epoch, LatencyHistogram::new());
+        m.op_latency.merge_from(&eh);
+        self.hist.merge(&eh);
+    }
+}
+
+/// The monitor layer, present exactly when `verify.monitor` is set:
+/// the streaming monitor of the run's mode (CC certifies against a
+/// delivery-order shadow fold, CCv against an independent
+/// Lamport-arbitrated one) and what the worker records about it.
+struct Watch<T: Adt> {
+    monitor: Monitor<T>,
+    /// Escalations the monitor raised, in op order.
+    escalations: Vec<MonitorEscalation>,
+    /// Does the current epoch follow a crash-recovery state transfer?
+    /// Recorded on escalations: their windows are then anchored on the
+    /// installed recovery states, the streaming analogue of the
+    /// `spans_recovery` anchoring sampled windows get in `record.rs`.
+    spans_recovery: bool,
+    /// Hook call counter (timing stride).
+    tick: u64,
+    /// Estimated nanoseconds in monitor calls: every 64th call is
+    /// timed and scaled, so steady state pays two `Instant::now()`s
+    /// per 64 folds instead of per fold. An estimate, like every other
+    /// wall-clock series.
+    ns: u64,
+    /// `objects - 1` when the object count is a power of two: lets the
+    /// hooks slot an object with a mask instead of a second integer
+    /// division on the hot path.
+    slot_mask: Option<u32>,
+}
+
+impl<T: Adt + Clone> Watch<T> {
+    fn new(adt: &T, cfg: &StoreConfig, me: usize) -> Option<Self> {
+        let objects = cfg.objects.max(1);
+        let discipline = match cfg.mode {
+            Mode::Causal => Discipline::Cc,
+            Mode::Convergent => Discipline::Ccv,
+        };
+        cfg.verify.monitor.then(|| Watch {
+            monitor: Monitor::new(adt.clone(), discipline, objects, cfg.workers.max(1), me),
+            escalations: Vec::new(),
+            spans_recovery: false,
+            tick: 0,
+            ns: 0,
+            slot_mask: objects.is_power_of_two().then(|| (objects - 1) as u32),
+        })
+    }
+}
 
 /// Ops retained for one crashed worker's disk-based tail fetch: from
 /// its crash cut (where its own log replay lands) to its recovery
@@ -683,6 +787,57 @@ struct RetainBuf<I> {
     for_worker: NodeId,
     /// `(shard, ops applied to it since the crash cut, apply order)`.
     ops: Vec<(u32, Vec<WireOp<I>>)>,
+}
+
+/// The durable layer, present exactly when `durable.log_dir` is set:
+/// the epoch log, and the disk rungs of in-run crash recovery (own
+/// log replay + co-replica delta fetch instead of full state
+/// transfer). See `docs/DURABILITY.md`.
+struct Durable<T: Adt> {
+    /// Own-op and delivered-batch records stream in, each drain cut
+    /// seals with an fsync, boundary seals snapshot-compact on the
+    /// configured cadence.
+    log: EpochLog,
+    /// The per-run log directory (recovery replays from it).
+    dir: PathBuf,
+    /// Active retention buffers: one per crash span this worker is an
+    /// elected delta helper for.
+    retain: Vec<RetainBuf<T::Input>>,
+    /// Recovery-phase handshakes that arrived while this worker was
+    /// blocked on a different span's handshake (simultaneous spans).
+    stash: Vec<(NodeId, Msg<T>)>,
+}
+
+impl<T: Adt> Durable<T> {
+    fn open(cfg: &StoreConfig, me: NodeId) -> Option<Self> {
+        let dir = PathBuf::from(cfg.durable.log_dir.as_ref()?);
+        // resume keeps the on-disk log/snapshot (the restart replays
+        // them); every other run starts from truncated files
+        let log =
+            EpochLog::open(&dir, me, !cfg.durable.resume).expect("open the durable epoch log");
+        Some(Durable {
+            log,
+            dir,
+            retain: Vec::new(),
+            stash: Vec::new(),
+        })
+    }
+
+    /// Record one applied update to `shard` into every active
+    /// retention buffer that serves it — the material of a crashed
+    /// worker's disk-recovery delta fetch.
+    fn retain_op(&mut self, shard: u32, obj: u32, ts: Timestamp, input: &T::Input) {
+        for buf in self.retain.iter_mut() {
+            if let Some((_, ops)) = buf.ops.iter_mut().find(|(s, _)| *s == shard) {
+                ops.push(WireOp {
+                    obj,
+                    input: input.clone(),
+                    ts,
+                    wseq: None,
+                });
+            }
+        }
+    }
 }
 
 struct Worker<'a, T: Adt, E> {
@@ -700,7 +855,6 @@ struct Worker<'a, T: Adt, E> {
     recorder: WindowRecorder<T>,
     fault_sched: FaultSchedule,
     vtime: u64,
-    issued: u64,
     crashed: bool,
     quiesce_idx: u64,
     /// Precomputed `sched.can_lose()` (checked on every flush).
@@ -711,93 +865,20 @@ struct Worker<'a, T: Adt, E> {
     /// Read-routing table for the current epoch: a live replica per
     /// shard, recomputed at every boundary from the shared schedule.
     read_route: Vec<NodeId>,
-    batches_delivered: u64,
-    reads: u64,
-    updates: u64,
-    remote_reads: u64,
-    reads_served: u64,
-    nacks_sent: u64,
-    repairs_sent: u64,
-    repaired_batches: u64,
-    discarded: u64,
     recoveries: Vec<RecoveryStats>,
-    /// Durable epoch log appender (`Some` when `durable.log_dir` is
-    /// set): own-op and delivered-batch records stream in, each drain
-    /// cut seals with an fsync, boundary seals snapshot-compact on the
-    /// configured cadence. See `docs/DURABILITY.md`.
-    dlog: Option<EpochLog>,
-    /// The per-run log directory (recovery replays from it).
-    dlog_dir: Option<PathBuf>,
-    /// In-run crash recovery goes through the disk ladder (own log
-    /// replay + co-replica delta fetch) instead of full state transfer
-    /// — exactly when the epoch log is on.
-    disk_recovery: bool,
-    /// Active retention buffers: one per crash span this worker is an
-    /// elected delta helper for.
-    retain: Vec<RetainBuf<T::Input>>,
-    /// Recovery-phase handshakes that arrived while this worker was
-    /// blocked on a different span's handshake (simultaneous spans).
-    #[allow(clippy::type_complexity)]
-    stash: Vec<(NodeId, StoreMsg<T::Input, T::Output, T::State>)>,
-    /// Inline streaming monitor (`Off` unless `verify.monitor`).
-    monitor: EngineMonitor<T>,
-    /// Escalations the monitor raised, in op order.
-    escalations: Vec<MonitorEscalation>,
-    /// Does the current epoch follow a crash-recovery state transfer?
-    /// Recorded on escalations: their windows are then anchored on the
-    /// installed recovery states, the streaming analogue of the
-    /// `spans_recovery` anchoring sampled windows get in `record.rs`.
-    epoch_spans_recovery: bool,
-    /// Monitor hot-path call counter (timing stride).
-    mon_tick: u64,
-    /// `objects - 1` when the object count is a power of two: lets the
-    /// monitor hooks slot an object with a mask instead of a second
-    /// integer division on the hot path.
-    mon_slot_mask: Option<u32>,
-    /// Estimated nanoseconds in monitor calls: every 64th call is
-    /// timed and scaled, so steady state pays two `Instant::now()`s
-    /// per 64 folds instead of per fold. An estimate, like every other
-    /// wall-clock series.
-    mon_ns: u64,
-    metrics: &'a EngineMetrics,
-    /// The run's shared start instant; span wall stamps are offsets
-    /// from it so all lanes share one timeline.
-    t0: Instant,
-    tracer: EpochTracer,
-    /// The epoch whose spans the worker is currently recording; spans
-    /// created during a boundary drain still belong to the epoch the
-    /// drain closes.
-    trace_epoch: u64,
-    /// Cumulative operation latency profile (feeds this worker's
-    /// [`WorkerStats`]).
-    hist: LatencyHistogram,
-    /// Latencies since the last drain; merged into `hist` and the
-    /// shared registry histogram at each drain rendezvous.
-    hist_epoch: LatencyHistogram,
-    /// Counter snapshot at the previous drain (per-epoch row deltas).
-    prev: EpochSnap,
-    rows: Vec<EpochMetrics>,
-    /// Bytes of `knows` matrix headers shipped with batch envelopes.
-    matrix_bytes: u64,
-    /// Payload ops shipped, summed per **copy** (a batch multicast to
-    /// `k` recipients adds `k * ops`; contrast `payloads_sent`, which
-    /// counts per flush). With `matrix_bytes` this makes the byte
-    /// accounting auditable: on a lossless run, `bytes_sent` of
-    /// batch traffic is exactly `matrix_bytes + per_op_bytes *
-    /// payload_copy_ops` (see `wire_accounting.rs`).
-    payload_copy_ops: u64,
-    peak_buffered: usize,
-    peak_suppression: usize,
-    peak_pending: usize,
+    tally: Tally,
+    durable: Option<Durable<T>>,
+    watch: Option<Watch<T>>,
+    tel: Telemetry<'a>,
 }
 
 impl<'a, T, E> Worker<'a, T, E>
 where
     T: Adt + Clone + Sync,
-    T::Input: PayloadCodec + Send + Sync,
+    T::Input: Wire + Send + Sync,
     T::Output: Send,
-    T::State: PayloadCodec + Send + Sync,
-    E: EndpointApi<StoreMsg<T::Input, T::Output, T::State>>,
+    T::State: Wire + Send + Sync,
+    E: EndpointApi<Msg<T>>,
 {
     #[allow(clippy::too_many_arguments)]
     fn new(
@@ -820,12 +901,6 @@ where
             .wrapping_add(me as u64)
             ^ 0xC4A0_5C4A_05C4_A05C;
         let tracing = cfg.obs.trace || sched.is_active();
-        let dlog_dir = cfg.durable.log_dir.as_ref().map(PathBuf::from);
-        // resume keeps the on-disk log/snapshot (the restart replays
-        // them); every other run starts from truncated files
-        let dlog = dlog_dir.as_ref().map(|d| {
-            EpochLog::open(d, me, !cfg.durable.resume).expect("open the durable epoch log")
-        });
         let mut ep = ChaosEndpoint::new(ep, chaos_seed);
         if tracing {
             // faults become trace events; the buffer drains at every
@@ -851,189 +926,104 @@ where
             recorder: WindowRecorder::new(),
             fault_sched: sched.link_plan.clone().into_schedule(),
             vtime: 0,
-            issued: 0,
             crashed: false,
             quiesce_idx: 0,
             loss_capable: sched.can_lose(),
             epoch_sent: vec![Vec::new(); n],
             read_route: vec![0; map.shards()],
-            batches_delivered: 0,
-            reads: 0,
-            updates: 0,
-            remote_reads: 0,
-            reads_served: 0,
-            nacks_sent: 0,
-            repairs_sent: 0,
-            repaired_batches: 0,
-            discarded: 0,
             recoveries: Vec::new(),
-            disk_recovery: dlog.is_some(),
-            dlog,
-            dlog_dir,
-            retain: Vec::new(),
-            stash: Vec::new(),
-            monitor: EngineMonitor::new(adt, cfg, me),
-            escalations: Vec::new(),
-            epoch_spans_recovery: false,
-            mon_tick: 0,
-            mon_slot_mask: {
-                let n = cfg.objects.max(1);
-                n.is_power_of_two().then(|| (n - 1) as u32)
+            tally: Tally::default(),
+            durable: Durable::open(cfg, me),
+            watch: Watch::new(adt, cfg, me),
+            tel: Telemetry {
+                metrics,
+                t0,
+                me: me as u32,
+                tracer: EpochTracer::new(
+                    tracing,
+                    TraceConfig {
+                        cap_per_kind: cfg.obs.epoch_cap,
+                        keep_epochs: cfg.obs.keep_epochs,
+                    },
+                ),
+                trace_epoch: 0,
+                hist: LatencyHistogram::new(),
+                hist_epoch: LatencyHistogram::new(),
+                prev: Tally::default(),
+                rows: Vec::new(),
             },
-            mon_ns: 0,
-            metrics,
-            t0,
-            tracer: EpochTracer::new(
-                tracing,
-                TraceConfig {
-                    cap_per_kind: cfg.obs.epoch_cap,
-                    keep_epochs: cfg.obs.keep_epochs,
-                },
-            ),
-            trace_epoch: 0,
-            hist: LatencyHistogram::new(),
-            hist_epoch: LatencyHistogram::new(),
-            prev: EpochSnap::default(),
-            rows: Vec::new(),
-            matrix_bytes: 0,
-            payload_copy_ops: 0,
-            peak_buffered: 0,
-            peak_suppression: 0,
-            peak_pending: 0,
         }
     }
 
-    /// Wall offset from the run's shared start instant.
-    fn now_ns(&self) -> u64 {
-        self.t0.elapsed().as_nanos() as u64
-    }
-
-    /// Cumulative counters feeding the per-epoch delta rows.
-    fn counters_snap(&self) -> EpochSnap {
+    /// The cumulative tally as of now, the causal layer's and the fault
+    /// layer's counts included.
+    fn tally(&self) -> Tally {
         let c = self.ep.counters();
-        EpochSnap {
-            ops: self.issued,
-            updates: self.updates,
-            remote_reads: self.remote_reads,
+        Tally {
             batches: self.proto.batches_sent(),
             payloads: self.proto.payloads_sent(),
-            delivered: self.batches_delivered,
-            nacks: self.nacks_sent,
-            repairs: self.repairs_sent,
-            repaired_batches: self.repaired_batches,
             faults: c.drops + c.dups + c.parked + c.delayed + c.pruned + c.crash_discarded,
+            ..self.tally
         }
     }
 
-    /// At a drain that closes epoch `epoch`: difference the counter
-    /// snapshots into the epoch's deterministic row, and feed the
-    /// deltas (plus the epoch's latency buckets) into the shared
-    /// registry — the "merge at drain rendezvous" half of the metrics
-    /// contract.
-    fn flush_epoch_metrics(&mut self, epoch: u64) {
-        let cur = self.counters_snap();
-        let p = self.prev;
-        let row = EpochMetrics {
-            epoch,
-            ops: cur.ops - p.ops,
-            updates: cur.updates - p.updates,
-            remote_reads: cur.remote_reads - p.remote_reads,
-            batches: cur.batches - p.batches,
-            payloads: cur.payloads - p.payloads,
-            delivered: cur.delivered - p.delivered,
-            nacks: cur.nacks - p.nacks,
-            repairs: cur.repairs - p.repairs,
-            faults: cur.faults - p.faults,
-            crashed: u64::from(self.sched.crashed_at(self.me, epoch)),
-        };
-        self.rows.push(row);
-        self.prev = cur;
-        let m = self.metrics;
-        m.ops.add(row.ops);
-        m.updates.add(row.updates);
-        m.remote_reads.add(row.remote_reads);
-        m.batches_flushed.add(row.batches);
-        m.payloads_flushed.add(row.payloads);
-        m.batches_delivered.add(row.delivered);
-        m.nacks.add(row.nacks);
-        m.repairs.add(row.repairs);
-        m.repaired_batches
-            .add(cur.repaired_batches - p.repaired_batches);
-        m.faults.add(row.faults);
-        let eh = std::mem::replace(&mut self.hist_epoch, LatencyHistogram::new());
-        m.op_latency.merge_from(&eh);
-        self.hist.merge(&eh);
+    /// Close the books of epoch `epoch` at the drain that ends it: seal
+    /// its spans (and every earlier one, through `seal_through`) and
+    /// push its metrics row.
+    fn end_epoch(&mut self, epoch: u64, seal_through: u64) {
+        let faults = self.ep.take_events();
+        self.tel
+            .seal_epoch(seal_through, self.sched.every_ops as u64, faults);
+        let cur = self.tally();
+        let crashed = self.sched.crashed_at(self.me, epoch);
+        self.tel.flush_epoch_metrics(epoch, cur, crashed);
     }
 
-    /// Convert buffered fault events into `fault` spans and seal every
-    /// epoch up to and including `epoch` — arrival order no longer
-    /// matters after this, which is what makes the retained span set
-    /// deterministic.
-    fn seal_epoch(&mut self, epoch: u64) {
-        if !self.tracer.enabled() {
-            return;
-        }
-        let wall = self.now_ns();
-        let every = self.sched.every_ops as u64;
-        for ev in self.ep.take_events() {
-            let mut sp = Span::new(SpanKind::Fault, self.me as u32, ev.vtime / every, ev.vtime);
-            sp.peer = ev.to as i64;
-            sp.a = ev.kind.code();
-            sp.wall_ns = wall;
-            self.tracer.push(sp);
-        }
-        self.tracer.seal(epoch);
-    }
-
-    /// The monitor's slot for `obj` — `ObjectTable::slot` semantics,
-    /// with the modulo strength-reduced to a mask when possible.
+    /// Run one monitor hook on `obj`'s slot — every 64th call timed and
+    /// scaled — and record any escalation it raises. No-op with the
+    /// monitor off.
     #[inline]
-    fn mon_slot(&self, obj: u32) -> u32 {
-        match self.mon_slot_mask {
+    fn certify(&mut self, obj: u32, hook: impl FnOnce(&mut Monitor<T>, u32) -> Option<Escalation>) {
+        let Some(w) = self.watch.as_mut() else {
+            return;
+        };
+        // `ObjectTable::slot` semantics, the modulo strength-reduced to
+        // a mask when possible
+        let slot = match w.slot_mask {
             Some(m) => obj & m,
             None => self.table.slot(obj) as u32,
+        };
+        w.tick = w.tick.wrapping_add(1);
+        let timer = (w.tick & 63 == 0).then(Instant::now);
+        let esc = hook(&mut w.monitor, slot);
+        if let Some(t) = timer {
+            w.ns += (t.elapsed().as_nanos() as u64) << 6;
         }
-    }
-
-    /// Start the strided monitor timer: every 64th call is measured
-    /// (and scaled back up in [`Worker::mon_elapsed`]).
-    #[inline]
-    fn mon_timer(&mut self) -> Option<Instant> {
-        self.mon_tick = self.mon_tick.wrapping_add(1);
-        (self.mon_tick & 63 == 0).then(Instant::now)
-    }
-
-    #[inline]
-    fn mon_elapsed(&mut self, t: Option<Instant>) {
-        if let Some(t) = t {
-            self.mon_ns += (t.elapsed().as_nanos() as u64) << 6;
+        if let Some(esc) = esc {
+            self.note_escalation(obj, esc);
         }
     }
 
     /// Record one monitor escalation: report row + `monitor_escalate`
-    /// trace span. `at_op` is this worker's op counter, the span's
-    /// deterministic logical stamp.
-    fn note_escalation(&mut self, at_op: u64, obj: Option<u32>, esc: Escalation) {
+    /// trace span, stamped with this worker's op counter (the span's
+    /// deterministic logical stamp).
+    fn note_escalation(&mut self, obj: u32, esc: Escalation) {
+        let at_op = self.tally.ops;
         let confirmed = esc.confirmed();
-        if self.tracer.enabled() {
-            let mut sp = Span::new(
-                SpanKind::MonitorEscalate,
-                self.me as u32,
-                self.trace_epoch,
-                at_op,
-            );
-            sp.shard = obj.map(|o| self.map.shard_of(o) as i64).unwrap_or(-1);
+        self.tel.span(SpanKind::MonitorEscalate, at_op, |sp| {
+            sp.shard = self.map.shard_of(obj) as i64;
             sp.a = esc.pattern.code();
             sp.b = esc.events as u64;
             sp.flag = confirmed;
-            sp.wall_ns = self.now_ns();
-            self.tracer.push(sp);
-        }
-        self.escalations.push(MonitorEscalation {
+        });
+        let Some(w) = self.watch.as_mut() else {
+            return;
+        };
+        w.escalations.push(MonitorEscalation {
             worker: self.me,
-            epoch: self.trace_epoch,
+            epoch: self.tel.trace_epoch,
             at_op,
-            obj,
+            obj: Some(obj),
             pattern: esc.pattern.name(),
             events: esc.events,
             confirmed,
@@ -1042,9 +1032,15 @@ where
                 Verdict::Unsat => "unsat",
                 Verdict::Unknown => "unknown",
             },
-            spans_recovery: self.epoch_spans_recovery,
+            spans_recovery: w.spans_recovery,
             detail: esc.witness.err().unwrap_or_default(),
         });
+    }
+
+    fn monitor_stats(&self) -> MonitorStats {
+        self.watch
+            .as_ref()
+            .map_or_else(MonitorStats::default, |w| w.monitor.stats())
     }
 
     fn run<G>(mut self, gen: &G) -> WorkerResult
@@ -1056,12 +1052,12 @@ where
                 .seed
                 .wrapping_add((self.me as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
         );
-        let start = if self.cfg.durable.resume && self.dlog.is_some() {
+        let start = if self.cfg.durable.resume && self.durable.is_some() {
             let r = self.resume_from_disk();
             // the op script is positional: burn the replayed prefix so
             // the RNG stream continues exactly where the halted run's
             // generator stood
-            for i in 0..self.issued {
+            for i in 0..self.tally.ops {
                 let _ = gen(self.me, i, &mut rng);
             }
             r
@@ -1104,53 +1100,131 @@ where
         if !halted {
             self.final_drain();
             assert_eq!(
-                self.issued as usize, self.cfg.ops_per_worker,
+                self.tally.ops as usize, self.cfg.ops_per_worker,
                 "worker {} finished with an incomplete script",
                 self.me
             );
         }
 
+        let c = self.tally();
+        let monitor_stats = self.monitor_stats();
         let stats = WorkerStats {
             worker: self.me,
-            ops: self.issued,
-            reads: self.reads,
-            updates: self.updates,
-            remote_reads: self.remote_reads,
-            reads_served: self.reads_served,
-            batches_sent: self.proto.batches_sent(),
-            payloads_sent: self.proto.payloads_sent(),
-            batches_delivered: self.batches_delivered,
-            latency: LatencySummary::from_histogram(&self.hist),
+            ops: c.ops,
+            reads: c.reads,
+            updates: c.updates,
+            remote_reads: c.remote_reads,
+            reads_served: c.reads_served,
+            batches_sent: c.batches,
+            payloads_sent: c.payloads,
+            batches_delivered: c.delivered,
+            latency: LatencySummary::from_histogram(&self.tel.hist),
         };
         // counters not covered by the per-epoch rows flush once here
-        let m = self.metrics;
-        m.reads.add(self.reads);
-        m.reads_served.add(self.reads_served);
-        m.matrix_bytes.add(self.matrix_bytes);
-        m.payload_copy_ops.add(self.payload_copy_ops);
-        m.peak_buffered.raise(self.peak_buffered as u64);
-        m.peak_suppression.raise(self.peak_suppression as u64);
-        m.peak_pending.raise(self.peak_pending as u64);
-        let tracer = std::mem::replace(
-            &mut self.tracer,
-            EpochTracer::new(false, TraceConfig::default()),
-        );
-        let (spans, mut dropped) = tracer.finish();
+        let m = self.tel.metrics;
+        m.reads.add(c.reads);
+        m.reads_served.add(c.reads_served);
+        m.matrix_bytes.add(c.matrix_bytes);
+        m.payload_copy_ops.add(c.payload_copy_ops);
+        m.peak_buffered.raise(c.peak_buffered as u64);
+        m.peak_suppression.raise(c.peak_suppression as u64);
+        m.peak_pending.raise(c.peak_pending as u64);
+        let (spans, mut dropped) = self.tel.tracer.finish();
         dropped += self.ep.events_overflow();
         m.spans_dropped.add(dropped);
+        let (escalations, mon_ns) = self
+            .watch
+            .map(|w| (w.escalations, w.ns))
+            .unwrap_or_default();
         WorkerResult {
             stats,
             chaos: self.ep.counters(),
-            nacks_sent: self.nacks_sent,
-            repairs_sent: self.repairs_sent,
-            repaired_batches: self.repaired_batches,
-            recoveries: std::mem::take(&mut self.recoveries),
-            rows: std::mem::take(&mut self.rows),
+            tally: c,
+            recoveries: self.recoveries,
+            rows: self.tel.rows,
             trace: (spans, dropped),
-            monitor_stats: self.monitor.stats(),
-            escalations: std::mem::take(&mut self.escalations),
-            mon_ns: self.mon_ns,
+            monitor_stats,
+            escalations,
+            mon_ns,
         }
+    }
+
+    /// Rung 1 of the recovery ladder: replay this worker's own snapshot
+    /// and log tail, exactly as a real process restart would. `None`
+    /// without a log, or when the disk is torn, corrupt or empty.
+    fn replay_own_disk(&self) -> Option<durable::Recovered<T>> {
+        let d = self.durable.as_ref()?;
+        durable::recover::<T>(
+            self.adt,
+            &d.dir,
+            self.me,
+            self.cfg.objects.max(1),
+            self.cfg.mode,
+        )
+        .ok()
+    }
+
+    /// Install a replayed cut: a fresh table from its states (the
+    /// in-memory replica is discarded, not reused) and a clock restarted
+    /// at its seal.
+    fn install_cut(&mut self, rec: &durable::Recovered<T>) {
+        let mut table = ObjectTable::new(self.adt, self.cfg.objects.max(1), self.cfg.mode);
+        table.install(&rec.states);
+        self.table = table;
+        self.clock = LamportClock::new();
+        self.clock.observe(rec.seal.lamport);
+    }
+
+    /// Restart the monitor's shadow of every hosted slot at the table's
+    /// current state, each with an empty ring — so no post-recovery
+    /// escalation can rebuild a window containing pre-crash events.
+    fn reseed_watch(&mut self) {
+        let Some(w) = self.watch.as_mut() else {
+            return;
+        };
+        for &s in self.map.hosted(self.me) {
+            let states = self.table.shard_snapshot(self.map.slots_of(s));
+            for (slot, st) in self.map.slots_of(s).zip(states.iter()) {
+                w.monitor.install_slot(slot, st);
+            }
+        }
+    }
+
+    /// Compact a recovered cut into a fresh snapshot, so appending
+    /// resumes from a sound base: the log prefix it replaces is gone
+    /// and a later restart replays only this. No-op without a log.
+    fn snapshot_cut(&mut self, epoch: u64) {
+        if self.durable.is_none() {
+            return;
+        }
+        let seal = self.seal_info(epoch, true);
+        let snap = self.table.snapshot();
+        if let Some(d) = self.durable.as_mut() {
+            d.log
+                .snapshot(&seal, &snap)
+                .expect("snapshot the recovered cut");
+        }
+    }
+
+    /// Push the report row of one recovery of this worker, `t` its start.
+    fn note_recovery(
+        &mut self,
+        span: &CrashSpan,
+        synced: (u64, u64),
+        replay: Option<&durable::Recovered<T>>,
+        t: Instant,
+    ) {
+        self.recoveries.push(RecoveryStats {
+            worker: self.me,
+            crash_epoch: span.crash_epoch,
+            recover_epoch: span.recover_epoch,
+            helper: span.helper,
+            synced_shards: synced.0,
+            synced_objects: synced.1,
+            sync_wall_ns: t.elapsed().as_nanos() as u64,
+            replayed_records: replay.map_or(0, |r| r.replayed_records),
+            log_bytes: replay.map_or(0, |r| r.log_bytes),
+        });
     }
 
     /// Cold fleet restart ([`crate::config::DurableConfig::resume`]):
@@ -1161,89 +1235,57 @@ where
     /// is a fleet-wide property, so resuming from mismatched epochs
     /// would replay mismatched script prefixes.
     fn resume_from_disk(&mut self) -> u64 {
-        let dir = self.dlog_dir.clone().expect("resume implies a log dir");
-        let rec = durable::recover::<T>(
-            self.adt,
-            &dir,
-            self.me,
-            self.cfg.objects.max(1),
-            self.cfg.mode,
-        )
-        .ok()
         // only epoch-boundary cuts strictly inside the run are
         // resumable: mid-window cuts would land inside a recorded
         // window, and a final-drain seal means there is nothing left
-        .filter(|r| r.seal.boundary && r.seal.epoch > 0 && r.seal.epoch < self.sched.n_epochs);
+        let rec = self
+            .replay_own_disk()
+            .filter(|r| r.seal.boundary && r.seal.epoch > 0 && r.seal.epoch < self.sched.n_epochs);
         let claim = rec.as_ref().map(|r| r.seal.epoch).unwrap_or(0);
         self.coord.resume_epoch[self.me].store(claim, Ordering::SeqCst);
         self.coord.barrier.wait(); // claims published
         let n = self.ep.cluster_size();
         let agreed =
             (0..n).all(|q| self.coord.resume_epoch[q].load(Ordering::SeqCst) == claim) && claim > 0;
-        if !agreed {
+        let (Some(rec), true) = (rec, agreed) else {
             // fall back to a fresh run: wipe this worker's files so the
             // new run's log does not append onto a stale prefix
-            self.dlog =
-                Some(EpochLog::open(&dir, self.me, true).expect("reopen the epoch log fresh"));
+            if let Some(d) = self.durable.as_mut() {
+                d.log = EpochLog::open(&d.dir, self.me, true).expect("reopen the epoch log fresh");
+            }
             return 0;
-        }
+        };
         let t = Instant::now();
-        let rec = rec.expect("agreed implies a local replay");
-        self.table.install(&rec.states);
-        self.issued = rec.seal.issued;
+        self.install_cut(&rec);
+        self.tally.ops = rec.seal.issued;
         debug_assert_eq!(
-            self.issued,
+            self.tally.ops,
             claim * self.sched.every_ops as u64,
             "a fault-free boundary cut pins the script position"
         );
-        self.clock = LamportClock::new();
-        self.clock.observe(rec.seal.lamport);
-        if self.monitor.enabled() {
-            // shadows restart from the installed cut states; counters
-            // continue from the persisted totals
-            for &s in self.map.hosted(self.me) {
-                let states = self.table.shard_snapshot(self.map.slots_of(s));
-                for (slot, st) in self.map.slots_of(s).zip(states.iter()) {
-                    self.monitor.install_slot(slot, st);
-                }
-            }
-            self.monitor.seed_stats(rec.seal.monitor);
-            self.monitor.resync();
+        // shadows restart from the installed cut states; counters
+        // continue from the persisted totals
+        self.reseed_watch();
+        if let Some(w) = self.watch.as_mut() {
+            w.monitor.seed_stats(rec.seal.monitor);
+            w.monitor.resync();
         }
-        // compact the resumed cut into a fresh snapshot: the log prefix
-        // it replaced is gone and a second restart replays only this.
-        // The delivered frontier restarts at zero with the fresh
-        // causal layer — frontiers are per-run, the cut state is not.
-        let seal = SealInfo {
-            epoch: claim,
-            boundary: true,
-            issued: self.issued,
-            lamport: self.clock.now(),
-            delivered: vec![0; n],
-            state_hash: self.table.state_hash(),
-            monitor: self.monitor.stats(),
-        };
-        let snap = self.table.snapshot();
-        let log = self.dlog.as_mut().expect("resume implies a log");
-        log.snapshot(&seal, &snap)
-            .expect("snapshot the resumed cut");
+        // the delivered frontier restarts at zero with the fresh
+        // causal layer — frontiers are per-run, the cut state is not
+        self.snapshot_cut(claim);
         // per-epoch delta rows and traces restart at the resumed cut
-        self.prev = self.counters_snap();
-        self.trace_epoch = claim;
+        self.tel.prev = self.tally();
+        self.tel.trace_epoch = claim;
         // the replay is a recovery row (helper = self: no co-replica
         // involved), which is what feeds the report's replayed-records
         // and log-bytes columns
-        self.recoveries.push(RecoveryStats {
+        let own = CrashSpan {
             worker: self.me,
             crash_epoch: claim,
             recover_epoch: claim,
             helper: self.me,
-            synced_shards: 0,
-            synced_objects: 0,
-            sync_wall_ns: t.elapsed().as_nanos() as u64,
-            replayed_records: rec.replayed_records,
-            log_bytes: rec.log_bytes,
-        });
+        };
+        self.note_recovery(&own, (0, 0), Some(&rec), t);
         claim
     }
 
@@ -1258,8 +1300,7 @@ where
         self.advance_faults();
         self.quiesce(false, (e, true));
         self.compact_and_check_convergence(e);
-        self.seal_epoch(e - 1);
-        self.flush_epoch_metrics(e - 1);
+        self.end_epoch(e - 1, e - 1);
         self.coord.hashes[self.me].store(self.table.state_hash(), Ordering::SeqCst);
     }
 
@@ -1280,9 +1321,9 @@ where
         self.vtime += 1;
         self.advance_faults();
         self.pump();
-        let op = gen(self.me, self.issued, rng);
+        let op = gen(self.me, self.tally.ops, rng);
         self.execute(op);
-        self.issued += 1;
+        self.tally.ops += 1;
     }
 
     /// Apply due fault events and release due held-back sends.
@@ -1318,11 +1359,9 @@ where
         }
         let was_crashed = self.crashed;
         self.crashed = self.sched.crashed_at(self.me, e);
-        if self.tracer.enabled() && !was_crashed && self.crashed {
+        if !was_crashed && self.crashed {
             // the cut this drain establishes is the crash point
-            let mut sp = Span::new(SpanKind::Crash, self.me as u32, self.trace_epoch, e);
-            sp.wall_ns = self.now_ns();
-            self.tracer.push(sp);
+            self.tel.span(SpanKind::Crash, e, |_| {});
         }
 
         // the boundary drain: a worker crashing *at* this boundary
@@ -1338,15 +1377,13 @@ where
         // recovery state transfers at this boundary: per-shard, from
         // live co-replica helpers, anchored on the drain just completed
         let recoveries: Vec<CrashSpan> = self.sched.recoveries_at(e).copied().collect();
-        self.epoch_spans_recovery = !recoveries.is_empty();
+        if let Some(w) = self.watch.as_mut() {
+            w.spans_recovery = !recoveries.is_empty();
+        }
         if !recoveries.is_empty() {
             for span in &recoveries {
                 if span.worker != self.me {
-                    if self.disk_recovery {
-                        self.serve_shard_sync_disk(span);
-                    } else {
-                        self.serve_shard_sync(span);
-                    }
+                    self.serve_recovery(span);
                     // envelopes stamped for the worker while it was
                     // down consumed delta state but were dropped, and
                     // its decode baselines restart from zero at resync:
@@ -1359,7 +1396,10 @@ where
                 }
             }
             self.coord.barrier.wait(); // transfers complete
-            debug_assert!(self.stash.is_empty(), "unconsumed recovery handshakes");
+            debug_assert!(
+                self.durable.as_ref().is_none_or(|d| d.stash.is_empty()),
+                "unconsumed recovery handshakes"
+            );
         }
 
         // disk recovery: start retaining ops for each worker crashing
@@ -1368,7 +1408,7 @@ where
         // boundary is precisely the delta it will fetch. Activation
         // runs *after* the recovery block: delta ops installed above
         // are all pre-cut and must not leak into a new buffer.
-        if self.disk_recovery && !self.crashed {
+        if let (Some(d), false) = (self.durable.as_mut(), self.crashed) {
             let (sched, map) = (self.sched, self.map);
             for span in sched.crashes_at(e) {
                 if span.worker == self.me {
@@ -1381,7 +1421,7 @@ where
                     .map(|&s| (s as u32, Vec::new()))
                     .collect();
                 if !shards.is_empty() {
-                    self.retain.push(RetainBuf {
+                    d.retain.push(RetainBuf {
                         for_worker: span.worker,
                         ops: shards,
                     });
@@ -1393,9 +1433,8 @@ where
 
         // epoch e-1 is over everywhere (its repair round included):
         // seal its spans and difference its metrics row
-        self.seal_epoch(e - 1);
-        self.flush_epoch_metrics(e - 1);
-        self.trace_epoch = e;
+        self.end_epoch(e - 1, e - 1);
+        self.tel.trace_epoch = e;
 
         // open window e-1
         let wid = e - 1;
@@ -1423,21 +1462,14 @@ where
             let obj = op.obj;
             self.remote_read(op.obj, op.input);
             let lat = t.elapsed().as_nanos() as u64;
-            self.hist_epoch.record(lat);
-            if self.tracer.enabled() {
-                let mut sp = Span::new(
-                    SpanKind::ReadRoute,
-                    self.me as u32,
-                    self.trace_epoch,
-                    self.issued,
-                );
-                sp.peer = server as i64;
-                sp.shard = shard as i64;
-                sp.a = obj as u64;
-                sp.wall_ns = t.duration_since(self.t0).as_nanos() as u64;
-                sp.dur_ns = lat;
-                self.tracer.push(sp);
-            }
+            self.tel.hist_epoch.record(lat);
+            self.tel
+                .span_from(SpanKind::ReadRoute, self.tally.ops, t, |sp| {
+                    sp.peer = server as i64;
+                    sp.shard = shard as i64;
+                    sp.a = obj as u64;
+                    sp.dur_ns = lat;
+                });
             return;
         }
         // updates always execute at a replica of their object
@@ -1449,32 +1481,25 @@ where
         let ts = Timestamp::new(self.clock.tick(), self.me);
         let output = self.table.output(self.adt, obj, &op.input);
         if is_update {
-            self.updates += 1;
+            self.tally.updates += 1;
             self.table.apply_update(self.adt, obj, ts, &op.input);
-            if let Some(log) = self.dlog.as_mut() {
+            if let Some(d) = self.durable.as_mut() {
                 // reads are pure and replay from state; only the
                 // applied update needs a log record
-                log.log_own(obj, ts, &op.input)
+                d.log
+                    .log_own(obj, ts, &op.input)
                     .expect("append an own-update record");
-            }
-            if !self.retain.is_empty() {
-                self.retain_op(obj, ts, &op.input);
+                if !d.retain.is_empty() {
+                    d.retain_op(self.map.shard_of(obj) as u32, obj, ts, &op.input);
+                }
             }
         } else {
-            self.reads += 1;
+            self.tally.reads += 1;
         }
-        if self.monitor.enabled() {
-            // certify the output against the shadow state (queries)
-            // and fold the update in; any mismatch escalates to the
-            // exact checkers right here, on the implicated window
-            let slot = self.mon_slot(obj);
-            let mt = self.mon_timer();
-            let esc = self.monitor.on_own(slot, &op.input, &output, ts.time);
-            self.mon_elapsed(mt);
-            if let Some(esc) = esc {
-                self.note_escalation(self.issued, Some(obj), esc);
-            }
-        }
+        // certify the output against the shadow state (queries) and
+        // fold the update in; any mismatch escalates to the exact
+        // checkers right here, on the implicated window
+        self.certify(obj, |m, slot| m.on_own(slot, &op.input, &output, ts.time));
         let wseq = self.recorder.on_own(
             self.me,
             OwnEvent {
@@ -1497,25 +1522,25 @@ where
                     },
                     mask,
                 );
-                self.peak_pending = self.peak_pending.max(pending);
+                self.tally.peak_pending = self.tally.peak_pending.max(pending);
                 if pending >= self.cfg.batch.threshold() {
                     self.flush_mask(mask);
                 }
             }
         }
         let lat = t.elapsed().as_nanos() as u64;
-        self.hist_epoch.record(lat);
-        if self.tracer.enabled() {
+        self.tel.hist_epoch.record(lat);
+        if self.tel.on() {
             let stride = self.cfg.obs.op_sample_every;
             // deterministic stride on the worker's own op counter
-            if stride > 0 && self.issued.is_multiple_of(stride as u64) {
-                let mut sp = Span::new(SpanKind::Op, self.me as u32, self.trace_epoch, self.issued);
-                sp.shard = self.map.shard_of(obj) as i64;
-                sp.a = obj as u64;
-                sp.flag = is_update;
-                sp.wall_ns = t.duration_since(self.t0).as_nanos() as u64;
-                sp.dur_ns = lat;
-                self.tracer.push(sp);
+            if stride > 0 && self.tally.ops.is_multiple_of(stride as u64) {
+                let shard = self.map.shard_of(obj) as i64;
+                self.tel.span_from(SpanKind::Op, self.tally.ops, t, |sp| {
+                    sp.shard = shard;
+                    sp.a = obj as u64;
+                    sp.flag = is_update;
+                    sp.dur_ns = lat;
+                });
             }
         }
     }
@@ -1526,8 +1551,8 @@ where
     /// never deadlock.
     fn remote_read(&mut self, obj: u32, input: T::Input) {
         let server = self.read_route[self.map.shard_of(obj)];
-        self.remote_reads += 1;
-        self.reads += 1;
+        self.tally.remote_reads += 1;
+        self.tally.reads += 1;
         self.ep.send_reliable(
             server,
             StoreMsg::ReadReq { obj, input },
@@ -1574,7 +1599,7 @@ where
 
     /// Are `batch_flush`/`deliver` spans being recorded at all?
     fn trace_batches(&self) -> bool {
-        self.tracer.enabled() && self.cfg.obs.batch_sample_every > 0
+        self.tel.on() && self.cfg.obs.batch_sample_every > 0
     }
 
     /// Deterministic envelope-span sampling: strided on the per-edge
@@ -1594,31 +1619,26 @@ where
         // a flat 8·n² here); sizes depend on flush-time knowledge, so
         // this counter — unlike message/batch/payload counts — is not
         // interleaving-deterministic
-        self.matrix_bytes += envs
+        self.tally.matrix_bytes += envs
             .iter()
             .map(|(_, e)| e.knows.wire_len(e.sender, e.seq) as u64)
             .sum::<u64>();
-        self.payload_copy_ops += envs
+        self.tally.payload_copy_ops += envs
             .iter()
             .map(|(_, e)| e.payload.len() as u64)
             .sum::<u64>();
         let vc = (self.trace_batches() && envs.iter().any(|(_, e)| self.sample_batch(e.seq)))
-            .then(|| (self.preflush_clock(&envs), self.now_ns()));
+            .then(|| (self.preflush_clock(&envs), Instant::now()));
         for (to, env) in envs {
             let bytes = batch_bytes(&env);
-            if let Some((vc, wall)) = &vc {
+            if let Some((vc, at)) = &vc {
                 if self.sample_batch(env.seq) {
-                    let mut sp = Span::new(
-                        SpanKind::BatchFlush,
-                        self.me as u32,
-                        self.trace_epoch,
-                        env.seq,
-                    );
-                    sp.peer = to as i64;
-                    sp.a = env.payload.len() as u64;
-                    sp.vc = vc.clone();
-                    sp.wall_ns = *wall;
-                    self.tracer.push(sp);
+                    self.tel
+                        .span_from(SpanKind::BatchFlush, env.seq, *at, |sp| {
+                            sp.peer = to as i64;
+                            sp.a = env.payload.len() as u64;
+                            sp.vc = vc.clone();
+                        });
                 }
             }
             if self.loss_capable {
@@ -1634,11 +1654,7 @@ where
 
     /// Handle one inbound message; returns the output when it answers
     /// this worker's outstanding routed read.
-    fn handle(
-        &mut self,
-        from: NodeId,
-        msg: StoreMsg<T::Input, T::Output, T::State>,
-    ) -> Option<T::Output> {
+    fn handle(&mut self, from: NodeId, msg: Msg<T>) -> Option<T::Output> {
         match msg {
             StoreMsg::Batch(env) => self.deliver(env),
             StoreMsg::Repair(envs) => {
@@ -1652,44 +1668,28 @@ where
                 // and its duplicate suppression discards the rest — so
                 // the repair size stays deterministic
                 let tail: Vec<BatchMsg<T::Input>> = self.epoch_sent[from].clone();
-                self.repairs_sent += 1;
-                self.repaired_batches += tail.len() as u64;
-                if self.tracer.enabled() {
-                    // same logical key the nacker used for this edge:
-                    // nacks are served within the drain that sent them
-                    let n = self.ep.cluster_size() as u64;
-                    let mut sp = Span::new(
-                        SpanKind::NackRepair,
-                        self.me as u32,
-                        self.trace_epoch,
-                        self.quiesce_idx * n + from as u64,
-                    );
+                self.tally.repairs += 1;
+                self.tally.repaired_batches += tail.len() as u64;
+                // same logical key the nacker used for this edge:
+                // nacks are served within the drain that sent them
+                let key = self.quiesce_idx * self.ep.cluster_size() as u64 + from as u64;
+                self.tel.span(SpanKind::NackRepair, key, |sp| {
                     sp.peer = from as i64;
                     sp.a = tail.len() as u64;
                     sp.flag = true; // the repair half
-                    sp.wall_ns = self.now_ns();
-                    self.tracer.push(sp);
-                }
+                });
                 let bytes = repair_bytes(&tail);
                 self.ep.send_reliable(from, StoreMsg::Repair(tail), bytes);
             }
             StoreMsg::ReadReq { obj, input } => {
                 let output = self.table.output(self.adt, obj, &input);
-                self.reads_served += 1;
-                if self.monitor.enabled() {
-                    // routed reads are certified where they are
-                    // answered: the issuer has no replica (and no
-                    // shadow) of this shard, the server has both —
-                    // summed across workers this is what closes the
-                    // 100%-of-ops accounting under partial replication
-                    let slot = self.mon_slot(obj);
-                    let mt = self.mon_timer();
-                    let esc = self.monitor.on_served_read(slot, &input, &output);
-                    self.mon_elapsed(mt);
-                    if let Some(esc) = esc {
-                        self.note_escalation(self.issued, Some(obj), esc);
-                    }
-                }
+                self.tally.reads_served += 1;
+                // routed reads are certified where they are answered:
+                // the issuer has no replica (and no shadow) of this
+                // shard, the server has both — summed across workers
+                // this is what closes the 100%-of-ops accounting under
+                // partial replication
+                self.certify(obj, |m, slot| m.on_served_read(slot, &input, &output));
                 self.ep.send_reliable(
                     from,
                     StoreMsg::ReadReply { output },
@@ -1702,13 +1702,13 @@ where
                 // protocol bug; tolerate and count rather than corrupt
                 // the replica
                 debug_assert!(false, "unexpected ShardSync outside recovery");
-                self.discarded += 1;
+                self.tally.discarded += 1;
             }
             StoreMsg::SyncReq { .. } | StoreMsg::ShardDelta(_) => {
                 // the disk-recovery handshake lives entirely inside the
                 // boundary's recovery phase; anywhere else is a bug
                 debug_assert!(false, "recovery handshake outside the recovery phase");
-                self.discarded += 1;
+                self.tally.discarded += 1;
             }
         }
         None
@@ -1725,77 +1725,48 @@ where
         got_any
     }
 
-    /// Record one applied update into every active retention buffer
-    /// whose served shards include the op's shard — the material of a
-    /// crashed worker's disk-recovery delta fetch.
-    fn retain_op(&mut self, obj: u32, ts: Timestamp, input: &T::Input) {
-        let shard = self.map.shard_of(obj) as u32;
-        for buf in self.retain.iter_mut() {
-            if let Some((_, ops)) = buf.ops.iter_mut().find(|(s, _)| *s == shard) {
-                ops.push(WireOp {
-                    obj,
-                    input: input.clone(),
-                    ts,
-                    wseq: None,
-                });
-            }
-        }
-    }
-
     /// Deliver one batch envelope through the interest causal layer.
     fn deliver(&mut self, env: BatchMsg<T::Input>) {
         for batch in self.proto.on_receive(env) {
-            self.batches_delivered += 1;
+            self.tally.delivered += 1;
             let sender = batch.sender;
-            if let Some(log) = self.dlog.as_mut() {
+            if let Some(d) = self.durable.as_mut() {
                 // one record per causally-delivered batch: replay
                 // re-applies it in the same delivery order
-                log.log_batch(sender, batch.seq, &batch.payload)
+                d.log
+                    .log_batch(sender, batch.seq, &batch.payload)
                     .expect("append a delivered-batch record");
             }
             if self.trace_batches() && self.sample_batch(batch.seq) {
-                let mut sp = Span::new(
-                    SpanKind::Deliver,
-                    self.me as u32,
-                    self.trace_epoch,
-                    batch.seq,
-                );
-                sp.peer = sender as i64;
-                sp.a = batch.payload.len() as u64;
-                // envelopes carry only knowledge *deltas* now, so the
-                // span stamps the receiver's post-fold knowledge
-                // snapshot instead: it dominates the envelope's full
-                // matrix (the fold just merged it in), so it still
-                // dominates the matching flush span's pre-flush clock
-                // — the pairing invariant the trace checker verifies
-                sp.vc = self.proto.knowledge();
-                sp.wall_ns = self.now_ns();
-                self.tracer.push(sp);
+                self.tel.span(SpanKind::Deliver, batch.seq, |sp| {
+                    sp.peer = sender as i64;
+                    sp.a = batch.payload.len() as u64;
+                    // envelopes carry only knowledge *deltas* now, so
+                    // the span stamps the receiver's post-fold
+                    // knowledge snapshot instead: it dominates the
+                    // envelope's full matrix (the fold just merged it
+                    // in), so it still dominates the matching flush
+                    // span's pre-flush clock — the pairing invariant
+                    // the trace checker verifies
+                    sp.vc = self.proto.knowledge();
+                });
             }
             for op in batch.payload {
                 self.clock.observe(op.ts.time);
                 self.table.apply_update(self.adt, op.obj, op.ts, &op.input);
-                if self.monitor.enabled() {
-                    let slot = self.mon_slot(op.obj);
-                    let mt = self.mon_timer();
-                    let esc = self.monitor.on_delivered(
-                        slot,
-                        &op.input,
-                        Stamp::new(op.ts.time, op.ts.pid),
-                    );
-                    self.mon_elapsed(mt);
-                    if let Some(esc) = esc {
-                        self.note_escalation(self.issued, Some(op.obj), esc);
-                    }
-                }
+                let stamp = Stamp::new(op.ts.time, op.ts.pid);
+                self.certify(op.obj, |m, slot| m.on_delivered(slot, &op.input, stamp));
                 self.recorder.on_remote(sender, op.wseq);
-                if !self.retain.is_empty() {
-                    self.retain_op(op.obj, op.ts, &op.input);
+                if let Some(d) = self.durable.as_mut() {
+                    if !d.retain.is_empty() {
+                        d.retain_op(self.map.shard_of(op.obj) as u32, op.obj, op.ts, &op.input);
+                    }
                 }
             }
         }
-        self.peak_buffered = self.peak_buffered.max(self.proto.buffered());
-        self.peak_suppression = self.peak_suppression.max(self.proto.suppression_len());
+        let t = &mut self.tally;
+        t.peak_buffered = t.peak_buffered.max(self.proto.buffered());
+        t.peak_suppression = t.peak_suppression.max(self.proto.suppression_len());
     }
 
     /// This worker's cut descriptor for a durable seal: everything a
@@ -1806,11 +1777,11 @@ where
         SealInfo {
             epoch,
             boundary,
-            issued: self.issued,
+            issued: self.tally.ops,
             lamport: self.clock.now(),
             delivered: self.proto.delivered_edges().to_vec(),
             state_hash: self.table.state_hash(),
-            monitor: self.monitor.stats(),
+            monitor: self.monitor_stats(),
         }
     }
 
@@ -1818,20 +1789,19 @@ where
     /// fsync), and compact into a snapshot when the boundary cadence
     /// says so. No-op without a log.
     fn durable_seal(&mut self, epoch: u64, boundary: bool) {
-        if self.dlog.is_none() {
+        if self.durable.is_none() {
             return;
         }
         let seal = self.seal_info(epoch, boundary);
         let every = self.cfg.durable.snapshot_every;
-        let log = self.dlog.as_mut().expect("checked above");
-        let compact = log.seal(&seal, every).expect("seal the epoch log");
-        if compact {
-            let snap = self.table.snapshot();
-            self.dlog
-                .as_mut()
-                .expect("checked above")
-                .snapshot(&seal, &snap)
-                .expect("write the epoch-log snapshot");
+        let table = &self.table;
+        if let Some(d) = self.durable.as_mut() {
+            let compact = d.log.seal(&seal, every).expect("seal the epoch log");
+            if compact {
+                d.log
+                    .snapshot(&seal, &table.snapshot())
+                    .expect("write the epoch-log snapshot");
+            }
         }
     }
 
@@ -1874,17 +1844,17 @@ where
         if discard {
             while self.coord.arrive[parity].load(Ordering::SeqCst) < n as u64 {
                 while self.ep.try_recv().is_some() {
-                    self.discarded += 1;
+                    self.tally.discarded += 1;
                 }
                 std::thread::yield_now();
             }
             while self.ep.try_recv().is_some() {
-                self.discarded += 1;
+                self.tally.discarded += 1;
             }
             self.coord.done[parity].fetch_add(1, Ordering::SeqCst);
             while self.coord.done[parity].load(Ordering::SeqCst) < n as u64 {
                 while self.ep.try_recv().is_some() {
-                    self.discarded += 1;
+                    self.tally.discarded += 1;
                 }
                 std::thread::yield_now();
             }
@@ -1915,21 +1885,14 @@ where
                     && self.proto.received_from(q)
                         < self.coord.sent_edges[q * n + self.me].load(Ordering::SeqCst)
                 {
-                    self.nacks_sent += 1;
-                    if self.tracer.enabled() {
-                        // logical key shared with the serving side:
-                        // drain number × cluster + the stalled edge
-                        let mut sp = Span::new(
-                            SpanKind::NackRepair,
-                            self.me as u32,
-                            self.trace_epoch,
-                            self.quiesce_idx * n as u64 + q as u64,
-                        );
+                    self.tally.nacks += 1;
+                    // logical key shared with the serving side: drain
+                    // number × cluster + the stalled edge
+                    let key = self.quiesce_idx * n as u64 + q as u64;
+                    self.tel.span(SpanKind::NackRepair, key, |sp| {
                         sp.peer = q as i64;
                         sp.flag = false; // the nack half
-                        sp.wall_ns = self.now_ns();
-                        self.tracer.push(sp);
-                    }
+                    });
                     self.ep.send_reliable(q, StoreMsg::Nack, nack_bytes());
                 }
             }
@@ -1969,21 +1932,15 @@ where
             log.clear();
         }
         self.ep.prune_parked();
-        self.metrics.drains.add(1);
-        if self.tracer.enabled() {
-            let mut sp = Span::new(
-                SpanKind::Drain,
-                self.me as u32,
-                self.trace_epoch,
-                self.quiesce_idx,
-            );
-            sp.a = self.batches_delivered; // cumulative at the cut
-            sp.b = self.nacks_sent;
-            sp.flag = !discard;
-            sp.wall_ns = t.duration_since(self.t0).as_nanos() as u64;
-            sp.dur_ns = t.elapsed().as_nanos() as u64;
-            self.tracer.push(sp);
-        }
+        self.tel.metrics.drains.add(1);
+        let (delivered, nacks) = (self.tally.delivered, self.tally.nacks);
+        self.tel
+            .span_from(SpanKind::Drain, self.quiesce_idx, t, |sp| {
+                sp.a = delivered; // cumulative at the cut
+                sp.b = nacks;
+                sp.flag = !discard;
+                sp.dur_ns = t.elapsed().as_nanos() as u64;
+            });
     }
 
     /// Has `q` published envelopes on its edge to us that we have not
@@ -1993,9 +1950,9 @@ where
             < self.coord.sent_edges[q * self.ep.cluster_size() + self.me].load(Ordering::SeqCst)
     }
 
-    /// Helper side of a recovery: ship this worker's post-drain states
-    /// of every shard it was elected to serve for `span` (reliable).
-    fn serve_shard_sync(&mut self, span: &CrashSpan) {
+    /// Ship this worker's post-drain states of every shard it was
+    /// elected to serve for `span` (reliable): the full state transfer.
+    fn send_shard_states(&mut self, span: &CrashSpan) {
         let shards: Vec<(u32, Vec<T::State>)> = self
             .map
             .hosted(span.worker)
@@ -2015,27 +1972,50 @@ where
             .send_reliable(span.worker, StoreMsg::ShardSync(Box::new(payload)), bytes);
     }
 
-    /// Disk-mode helper side: wait for the recoverer's handshake, then
+    /// Helper side of a recovery. Without a log: the full state
+    /// transfer. With one: wait for the recoverer's handshake, then
     /// ship either the retained op delta past its replayed crash cut
-    /// (`full = false`) or — when its disk was torn or stale — the
-    /// full post-drain shard states, exactly as the memory path does.
-    fn serve_shard_sync_disk(&mut self, span: &CrashSpan) {
+    /// (`full = false`) or — when its disk was torn or stale — the full
+    /// post-drain shard states, exactly as the memory path does.
+    fn serve_recovery(&mut self, span: &CrashSpan) {
         let elected = self
             .map
             .hosted(span.worker)
             .iter()
             .any(|&s| self.sched.shard_helper(span, self.map.replicas(s)) == Some(self.me));
-        let buf = self
+        let Some(d) = self.durable.as_mut() else {
+            return self.send_shard_states(span);
+        };
+        let buf = d
             .retain
             .iter()
             .position(|b| b.for_worker == span.worker)
-            .map(|i| self.retain.swap_remove(i));
+            .map(|i| d.retain.swap_remove(i));
         if !elected {
             debug_assert!(buf.is_none(), "a retention buffer with no election");
             return;
         }
-        if self.wait_sync_req(span.worker) {
-            self.serve_shard_sync(span);
+        // block until the recoverer's handshake arrives. Handshakes
+        // from *other* simultaneous recoverers are stashed for the
+        // spans served later in the boundary's span list; nothing else
+        // can arrive — every worker is inside the recovery phase, past
+        // the drain's closing barrier.
+        let full = match d
+            .stash
+            .iter()
+            .position(|(from, m)| *from == span.worker && matches!(m, StoreMsg::SyncReq { .. }))
+        {
+            Some(i) => matches!(d.stash.swap_remove(i).1, StoreMsg::SyncReq { full: true }),
+            None => loop {
+                match self.ep.recv() {
+                    Some((from, StoreMsg::SyncReq { full })) if from == span.worker => break full,
+                    Some(other) => d.stash.push(other),
+                    None => unreachable!("mesh closed during the recovery handshake"),
+                }
+            },
+        };
+        if full {
+            self.send_shard_states(span);
         } else {
             let buf = buf.expect("every elected helper activated a retention buffer");
             let payload = ShardDeltaPayload {
@@ -2045,31 +2025,6 @@ where
             let bytes = delta_bytes(&payload);
             self.ep
                 .send_reliable(span.worker, StoreMsg::ShardDelta(Box::new(payload)), bytes);
-        }
-    }
-
-    /// Block until `worker`'s recovery handshake arrives and return its
-    /// `full` flag. Handshakes from *other* simultaneous recoverers are
-    /// stashed for the spans served later in the boundary's span list;
-    /// nothing else can arrive — every worker is inside the recovery
-    /// phase, past the drain's closing barrier.
-    fn wait_sync_req(&mut self, worker: NodeId) -> bool {
-        if let Some(i) = self
-            .stash
-            .iter()
-            .position(|(from, m)| *from == worker && matches!(m, StoreMsg::SyncReq { .. }))
-        {
-            match self.stash.swap_remove(i).1 {
-                StoreMsg::SyncReq { full } => return full,
-                _ => unreachable!("position matched a SyncReq"),
-            }
-        }
-        loop {
-            match self.ep.recv() {
-                Some((from, StoreMsg::SyncReq { full })) if from == worker => return full,
-                Some(other) => self.stash.push(other),
-                None => unreachable!("mesh closed during the recovery handshake"),
-            }
         }
     }
 
@@ -2093,39 +2048,21 @@ where
                     .expect("validated: every hosted shard has a live helper")
             })
             .collect();
-        let mut full = true;
-        let (mut replayed_records, mut log_bytes) = (0u64, 0u64);
-        if self.disk_recovery {
-            // rung 1: replay this worker's own disk, exactly as a real
-            // process restart would (the in-memory replica is
-            // discarded, not reused)
-            let dir = self.dlog_dir.as_ref().expect("disk recovery has a dir");
-            match durable::recover::<T>(
-                self.adt,
-                dir,
-                self.me,
-                self.cfg.objects.max(1),
-                self.cfg.mode,
-            ) {
-                Ok(rec) if rec.seal.boundary && rec.seal.epoch == span.crash_epoch => {
-                    debug_assert_eq!(
-                        rec.seal.issued, self.issued,
-                        "the sealed script position matches the paused script"
-                    );
-                    let mut table =
-                        ObjectTable::new(self.adt, self.cfg.objects.max(1), self.cfg.mode);
-                    table.install(&rec.states);
-                    self.table = table;
-                    self.clock = LamportClock::new();
-                    self.clock.observe(rec.seal.lamport);
-                    replayed_records = rec.replayed_records;
-                    log_bytes = rec.log_bytes;
-                    full = false;
-                }
-                // torn, corrupt, or sealed at the wrong cut: rung 3,
-                // the full co-replica state transfer
-                _ => {}
-            }
+        // rung 1: the own disk, if it sealed exactly the crash cut; a
+        // torn, corrupt, or wrong-cut disk leaves rung 3, the full
+        // co-replica state transfer
+        let replay = self
+            .replay_own_disk()
+            .filter(|r| r.seal.boundary && r.seal.epoch == span.crash_epoch);
+        let full = replay.is_none();
+        if let Some(rec) = &replay {
+            debug_assert_eq!(
+                rec.seal.issued, self.tally.ops,
+                "the sealed script position matches the paused script"
+            );
+            self.install_cut(rec);
+        }
+        if self.durable.is_some() {
             // handshake each helper (deterministic order) *before*
             // blocking on their responses
             let mut helpers: Vec<NodeId> = expected.iter().copied().collect();
@@ -2148,15 +2085,11 @@ where
                         synced_objects += states.len() as u64;
                         self.table
                             .install_slots(self.map.slots_of(*s as usize), states);
-                        if self.monitor.enabled() {
-                            // the monitor rebuilds from the same
-                            // per-shard transfer: each shadow restarts
-                            // at the installed state with an empty
-                            // ring, so no post-recovery escalation can
-                            // rebuild a window containing pre-crash
-                            // placeholder events
+                        // the monitor rebuilds from the same per-shard
+                        // transfer (see `reseed_watch`)
+                        if let Some(w) = self.watch.as_mut() {
                             for (slot, st) in self.map.slots_of(*s as usize).zip(states.iter()) {
-                                self.monitor.install_slot(slot, st);
+                                w.monitor.install_slot(slot, st);
                             }
                         }
                     }
@@ -2183,22 +2116,18 @@ where
                 Some((from, msg @ StoreMsg::SyncReq { .. })) => {
                     // another simultaneous recoverer's handshake, for a
                     // span this worker serves later in the span list
-                    self.stash.push((from, msg));
+                    // (handshakes only exist with a log)
+                    if let Some(d) = self.durable.as_mut() {
+                        d.stash.push((from, msg));
+                    }
                 }
-                Some(_) => self.discarded += 1, // pre-recovery straggler
+                Some(_) => self.tally.discarded += 1, // pre-recovery straggler
                 None => unreachable!("mesh closed during recovery"),
             }
         }
-        if self.disk_recovery && !full && self.monitor.enabled() {
-            // the delta path rebuilt the table, not the shadows: seed
-            // every hosted slot from the final recovered states (same
-            // contract as the install_slot calls on the full path)
-            for &s in self.map.hosted(self.me) {
-                let states = self.table.shard_snapshot(self.map.slots_of(s));
-                for (slot, st) in self.map.slots_of(s).zip(states.iter()) {
-                    self.monitor.install_slot(slot, st);
-                }
-            }
+        if !full {
+            // the delta path rebuilt the table, not the shadows
+            self.reseed_watch();
         }
         let n = self.ep.cluster_size();
         let delivered: Vec<u64> = (0..n)
@@ -2208,46 +2137,23 @@ where
             .map(|i| self.coord.sent_edges[i].load(Ordering::SeqCst))
             .collect();
         self.proto.resync(&delivered, &matrix);
-        self.monitor.resync();
+        if let Some(w) = self.watch.as_mut() {
+            w.monitor.resync();
+        }
         for log in self.epoch_sent.iter_mut() {
             log.clear(); // pre-crash sends are all below the cut
         }
-        if self.dlog.is_some() {
-            // the log froze at the crash cut and the outage left a gap
-            // it can never describe; compact the recovered cut into a
-            // fresh snapshot so appending resumes from a sound base
-            let seal = self.seal_info(span.recover_epoch, true);
-            let snap = self.table.snapshot();
-            if let Some(dlog) = self.dlog.as_mut() {
-                dlog.snapshot(&seal, &snap)
-                    .expect("snapshot the recovered cut");
-            }
-        }
-        if self.tracer.enabled() {
-            let mut sp = Span::new(
-                SpanKind::Recover,
-                self.me as u32,
-                self.trace_epoch,
-                span.recover_epoch,
-            );
-            sp.peer = span.helper as i64;
-            sp.a = synced_shards;
-            sp.b = synced_objects;
-            sp.wall_ns = t.duration_since(self.t0).as_nanos() as u64;
-            sp.dur_ns = t.elapsed().as_nanos() as u64;
-            self.tracer.push(sp);
-        }
-        self.recoveries.push(RecoveryStats {
-            worker: self.me,
-            crash_epoch: span.crash_epoch,
-            recover_epoch: span.recover_epoch,
-            helper: span.helper,
-            synced_shards,
-            synced_objects,
-            sync_wall_ns: t.elapsed().as_nanos() as u64,
-            replayed_records,
-            log_bytes,
-        });
+        // the log froze at the crash cut and the outage left a gap it
+        // can never describe
+        self.snapshot_cut(span.recover_epoch);
+        self.tel
+            .span_from(SpanKind::Recover, span.recover_epoch, t, |sp| {
+                sp.peer = span.helper as i64;
+                sp.a = synced_shards;
+                sp.b = synced_objects;
+                sp.dur_ns = t.elapsed().as_nanos() as u64;
+            });
+        self.note_recovery(span, (synced_shards, synced_objects), replay.as_ref(), t);
     }
 
     /// A worker met its window quota: drain so the window is closed
@@ -2275,8 +2181,7 @@ where
         self.compact_and_check_convergence(self.sched.n_epochs);
         // seal past n_epochs-1 so fault events stamped at the final
         // boundary tick (epoch index n_epochs) are retained too
-        self.seal_epoch(self.sched.n_epochs);
-        self.flush_epoch_metrics(self.sched.n_epochs - 1);
+        self.end_epoch(self.sched.n_epochs - 1, self.sched.n_epochs);
         // the full-space hash feeds only the report's final_state_hashes
         // (read after the threads join), so it is computed once here
         // rather than at every drain; intermediate convergence checks
@@ -2294,7 +2199,9 @@ where
             // same cut, same argument: every future stamp exceeds
             // every folded one, so the monitor's shadow rings compact
             // into their seeds here too
-            self.monitor.on_drain();
+            if let Some(w) = self.watch.as_mut() {
+                w.monitor.on_drain();
+            }
         }
         let shards = self.map.shards();
         for &s in self.map.hosted(self.me) {

@@ -120,13 +120,23 @@ fn assert_same_final_state(a: &StoreReport, b: &StoreReport, what: &str) {
 /// Crash `victim` at `crash_e`, recover it at `recover_e` *from its
 /// own disk* (rung 1 of the ladder) plus the co-replica delta (rung
 /// 2), and require convergence with the fault-free in-memory twin.
-fn check_disk_recovery(mode: Mode, victim: usize, crash_e: u64, recover_e: u64, seed: u64) {
+/// With `monitor` on, the victim's monitor must come back re-seeded
+/// from the recovered states: every op certified, none flagged.
+fn check_disk_recovery(
+    mode: Mode,
+    victim: usize,
+    crash_e: u64,
+    recover_e: u64,
+    seed: u64,
+    monitor: bool,
+) {
     let dir = tmpdir("crash");
     let ops = 4 * EVERY;
     let plan = FaultPlan::new()
         .at(crash_e * EVERY as u64, Fault::Crash(victim))
         .at(recover_e * EVERY as u64, Fault::Recover(victim));
     let mut chaos_cfg = cfg(mode, 3, ops, seed, plan);
+    chaos_cfg.verify.monitor = monitor;
     // snapshot_every = 0: never compact, so the victim's replay always
     // walks log records and the replayed_records assertion is exact
     chaos_cfg.durable = durable_cfg(&dir, 0);
@@ -136,6 +146,13 @@ fn check_disk_recovery(mode: Mode, victim: usize, crash_e: u64, recover_e: u64, 
         &cfg(mode, 3, ops, seed, FaultPlan::new()),
         counter_gen(16),
     );
+    if monitor {
+        let m = &chaos.monitor;
+        assert!(m.enabled);
+        assert_eq!(m.ops_checked, chaos.total_ops, "every op certified");
+        assert_eq!(m.violations, 0, "{:?}", m.records);
+        assert_eq!(m.escalations, 0, "{:?}", m.records);
+    }
 
     assert_eq!(chaos.total_ops, free.total_ops, "script must resume fully");
     assert_same_final_state(&chaos, &free, "disk-recovery");
@@ -166,7 +183,17 @@ proptest! {
         convergent in proptest::bool::ANY,
     ) {
         let mode = if convergent { Mode::Convergent } else { Mode::Causal };
-        check_disk_recovery(mode, 2, crash_e, crash_e + extra, seed);
+        check_disk_recovery(mode, 2, crash_e, crash_e + extra, seed, false);
+    }
+}
+
+/// The delta rung with the monitor on, in both modes: the victim's
+/// shadows are rebuilt from its replayed-plus-delta states, so the
+/// run certifies every op and flags none.
+#[test]
+fn disk_recovery_reseeds_the_monitor() {
+    for mode in [Mode::Causal, Mode::Convergent] {
+        check_disk_recovery(mode, 2, 1, 3, 41, true);
     }
 }
 
